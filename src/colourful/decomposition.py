@@ -366,23 +366,31 @@ def to_nice(td: TreeDecomposition, g: ColouredGraph) -> NiceTreeDecomposition:
             tuple(bags), tuple(kind), tuple(children), tuple(delta), root
         )
 
-    def build(i: int, parent: int) -> int:
-        """Nice subtree for td node i; returns its top node (bag = bags i)."""
-        kids = [j for j in sorted(nb[i]) if j != parent]
-        if not kids:
-            node = add("leaf", frozenset(), (), None)
-            return chain_to(node, td.bags[i])
-        tops = []
-        for j in kids:
-            sub = build(j, i)
-            tops.append(chain_to(sub, td.bags[i]))
-        while len(tops) > 1:
-            b = tops.pop()
-            a = tops.pop()
-            tops.append(add("join", td.bags[i], (a, b), None))
-        return tops[0]
+    # Depth-first over the td tree with an explicit stack.  A frame holds a
+    # td node, its children in sorted order and the tops built so far, one
+    # per finished child (chained to the node's bag); a node's top is its
+    # leaf chain, or the joins of its children's tops.
+    frames = [(0, sorted(nb[0]), [])]
+    while True:
+        i, kids, tops = frames[-1]
+        if len(tops) < len(kids):
+            j = kids[len(tops)]
+            frames.append((j, sorted(nb[j] - {i}), []))
+            continue
+        frames.pop()
+        if kids:
+            while len(tops) > 1:
+                b = tops.pop()
+                a = tops.pop()
+                tops.append(add("join", td.bags[i], (a, b), None))
+            top = tops[0]
+        else:
+            top = chain_to(add("leaf", frozenset(), (), None), td.bags[i])
+        if not frames:
+            break
+        p, _, parent_tops = frames[-1]
+        parent_tops.append(chain_to(top, td.bags[p]))
 
-    top = build(0, -1)
     root = chain_to(top, frozenset())
     if kind[root] != "forget":  # td.bags[0] was already empty
         root = add("introduce", bags[root] | {0}, (root,), 0)

@@ -277,6 +277,7 @@ def parse_instance(text: str) -> ColouredGraph:
         raise ParseError("cgraph header fields must be non-negative")
     colours: dict[int, int] = {}
     edges: list[Edge] = []
+    edge_set: set[Edge] = set()
     for parts in lines[1:]:
         kind = parts[0]
         if kind == "v":
@@ -304,8 +305,9 @@ def parse_instance(text: str) -> ColouredGraph:
                 raise ParseError(f"edge ({u},{v}) out of range")
             if u >= v:
                 raise ParseError(f"edge ({u},{v}) must satisfy u < v")
-            if (u, v) in edges:
+            if (u, v) in edge_set:
                 raise ParseError(f"duplicate edge ({u},{v})")
+            edge_set.add((u, v))
             edges.append((u, v))
         else:
             raise ParseError(f"unknown line kind '{kind}'")

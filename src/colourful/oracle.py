@@ -20,6 +20,7 @@ from .graph import (
     UnsupportedInstanceError,
     canonical_partition,
     connected_components,
+    is_colourful_partition,
     is_colourful_set,
     norm_edge,
 )
@@ -44,19 +45,21 @@ def _colour_bits(g: ColouredGraph) -> list[int]:
 
 
 def _mask_reach(adj: list[int], start_bit: int, allowed: int) -> int:
-    """Vertices reachable from start_bit inside the induced graph on allowed."""
-    reach = start_bit
-    while True:
+    """Vertices reachable from start_bit inside the induced graph on allowed.
+
+    Requires start_bit to be a subset of allowed.  Each round expands only
+    the vertices reached in the round before."""
+    reach = frontier = start_bit
+    while frontier:
         grow = 0
-        m = reach
+        m = frontier
         while m:
             u = (m & -m).bit_length() - 1
             grow |= adj[u]
             m &= m - 1
-        new = (reach | grow) & allowed
-        if new == reach:
-            return reach
-        reach = new
+        frontier = grow & allowed & ~reach
+        reach |= frontier
+    return reach
 
 
 def _mask_vertices(mask: int) -> list[int]:
@@ -383,16 +386,13 @@ def find_two_partition(
     full = (1 << g.n) - 1
 
     # BFS order guarantees every branch vertex touches an assigned one.
-    order = []
+    order = [0]
     seen = {0}
-    queue = [0]
-    while queue:
-        u = queue.pop(0)
-        order.append(u)
+    for u in order:
         for v in sorted(g.adj[u]):
             if v not in seen:
                 seen.add(v)
-                queue.append(v)
+                order.append(v)
 
     side = [-1] * g.n
     masks = [0, 0]
@@ -450,9 +450,11 @@ def find_two_partition(
     assign(0, 0, trail)  # fixing the root's side halves the search space
     if not sides_feasible() or not rec(0):
         return None
-    blocks = [frozenset(_mask_vertices(m)) for m in masks if m]
-    assert all(is_colourful_set(g, b) for b in blocks)
-    return canonical_partition(blocks)
+    partition = canonical_partition(
+        frozenset(_mask_vertices(m)) for m in masks if m
+    )
+    assert is_colourful_partition(g, partition)
+    return partition
 
 
 # ---------------------------------------------------------------------------

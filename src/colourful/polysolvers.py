@@ -7,6 +7,7 @@ connected blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .decomposition import (
@@ -229,6 +230,14 @@ def solve_two_coloured(g: ColouredGraph, problem: str = "partition") -> SolveRes
 # ---------------------------------------------------------------------------
 
 
+def _colour_classes(g: ColouredGraph) -> list[list[int]]:
+    """The vertices of each colour, in increasing order."""
+    classes: dict[int, list[int]] = {}
+    for v in range(g.n):
+        classes.setdefault(g.colours[v], []).append(v)
+    return list(classes.values())
+
+
 def build_phi(g: ColouredGraph, dec: RootedDecomposition2CP) -> TwoSatFormula:
     """The 2-SAT formula whose models are exactly the two-block colourful
     partitions (V1, V2) with a in V1 and b in V2, for the rooted normal-form
@@ -241,11 +250,11 @@ def build_phi(g: ColouredGraph, dec: RootedDecomposition2CP) -> TwoSatFormula:
         return g.has_edge(x, y) or frozenset({x, y}) in two_bags
 
     clauses: list[tuple[int, int]] = [(a + 1, a + 1), (-(b + 1), -(b + 1))]
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if g.colours[u] == g.colours[v]:
-                clauses.append((u + 1, v + 1))
-                clauses.append((-(u + 1), -(v + 1)))
+    for u, v in sorted(
+        pair for vs in _colour_classes(g) for pair in combinations(vs, 2)
+    ):
+        clauses.append((u + 1, v + 1))
+        clauses.append((-(u + 1), -(v + 1)))
     for i, flag in enumerate(dec.head):
         if not flag:
             continue
@@ -276,16 +285,54 @@ def build_phi(g: ColouredGraph, dec: RootedDecomposition2CP) -> TwoSatFormula:
     return TwoSatFormula(g.n, tuple(clauses))
 
 
+def _shortest_same_colour_path(
+    g: ColouredGraph, classes: list[list[int]]
+) -> list[int]:
+    """A shortest path between two same-coloured vertices of a connected
+    graph, as its vertex sequence; one BFS per colour class of size two."""
+    best: list[int] = []
+    for vs in classes:
+        if len(vs) != 2:
+            continue
+        x, y = vs
+        parent = {x: x}
+        layer = [x]
+        # only layers strictly closer to x than the best path so far matter
+        layers_left = len(best) - 2 if best else g.n
+        while layer and y not in parent and layers_left > 0:
+            layers_left -= 1
+            nxt = []
+            for u in layer:
+                for w in g.adj[u]:
+                    if w not in parent:
+                        parent[w] = u
+                        nxt.append(w)
+            layer = nxt
+        if y in parent:
+            path = [y]
+            while path[-1] != x:
+                path.append(parent[path[-1]])
+            best = path[::-1]
+    return best
+
+
 def solve_2cp_treewidth2(g: ColouredGraph) -> Partition | None:
     """A colourful partition with at most two blocks, or None if none exists.
-    Requires treewidth at most 2 (raises UnsupportedInstanceError otherwise).
+    Requires treewidth at most 2 (raises UnsupportedInstanceError otherwise)
+    unless the answer is plain without it: two blocks hold at most two
+    vertices of a colour, and a colourful graph is one block.
 
-    A two-block partition of a connected graph separates the ends of some
-    edge, so one normalized decomposition and 2-SAT formula per edge
-    orientation (a, b) covers every candidate.
+    In a connected graph that is not colourful, take same-coloured x and y
+    at the smallest distance: any two-block partition puts them in different
+    blocks, so it separates the ends of some edge (a, b) on a shortest x-y
+    path.  One normalized decomposition and 2-SAT formula per such edge,
+    with a in V1, covers every candidate.
     """
     if g.n == 0:
         return ()
+    classes = _colour_classes(g)
+    if any(len(vs) > 2 for vs in classes):
+        return None
     comps = connected_components(g)
     if len(comps) > 2:
         return None
@@ -293,12 +340,13 @@ def solve_2cp_treewidth2(g: ColouredGraph) -> Partition | None:
         if all(is_colourful_set(g, c) for c in comps):
             return canonical_partition(comps)
         return None
-    if is_colourful_set(g, frozenset(range(g.n))):
+    if len(classes) == g.n:
         return (frozenset(range(g.n)),)
     td = exact_tree_decomposition(g, 2)
     if td is None:
         raise UnsupportedInstanceError("solver requires treewidth at most 2")
-    for a, b in g.edges():
+    path = _shortest_same_colour_path(g, classes)
+    for a, b in zip(path, path[1:]):
         dec = normalize_for_2cp(td, g, a, b)
         assignment = two_sat_solve(build_phi(g, dec))
         if assignment is None:

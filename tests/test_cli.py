@@ -85,6 +85,20 @@ def test_solve_exit_codes(tmp_path, capsys):
     assert code == 3 and "no applicable solver" in err
 
 
+def test_solve_long_path_without_recursion_limit(tmp_path, capsys):
+    # a tree decomposition this deep used to overflow the recursive to_nice
+    n = 5000
+    path = tmp_path / "path.cg"
+    lines = [f"cgraph {n} {n - 1}"]
+    lines += [f"v {v} {1 + v % 3}" for v in range(n)]
+    lines += [f"e {v} {v + 1}" for v in range(n - 1)]
+    path.write_text("\n".join(lines) + "\n")
+    code, out, _ = run(capsys, "solve", "--problem", "components", path)
+    assert code == 0 and out.splitlines()[0] == "deletions 1666"
+    code, out, _ = run(capsys, "solve", "--problem", "partition", path)
+    assert code == 0 and out.splitlines()[0] == "partition 1667"
+
+
 def test_check_rejects_wrong_witness(example1_file, tmp_path, capsys):
     sol = tmp_path / "wrong.txt"
     sol.write_text("partition 1\nblock 0\n")

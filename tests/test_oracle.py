@@ -11,6 +11,8 @@ from colourful.graph import (
     is_valid_deletion_set,
 )
 from colourful.oracle import (
+    _adjacency_masks,
+    _mask_reach,
     brute_max_matching,
     brute_min_deletions,
     brute_min_deletions_partitions,
@@ -94,6 +96,30 @@ def test_find_two_partition_matches_brute():
             assert is_colourful_partition(g, part)
             agree += 1
     assert agree > 50  # the regime must actually exercise the yes side
+
+
+def test_mask_reach_matches_set_bfs():
+    rng = random.Random(9)
+    for _ in range(300):
+        g = random_coloured_graph(rng, n_max=30, extra_edges=30)
+        allowed = {v for v in range(g.n) if rng.random() < 0.7}
+        if not allowed:
+            continue
+        starts = set(rng.sample(sorted(allowed), rng.randint(1, min(3, len(allowed)))))
+        seen = set(starts)
+        stack = list(starts)
+        while stack:
+            u = stack.pop()
+            for w in g.adj[u]:
+                if w in allowed and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        got = _mask_reach(
+            _adjacency_masks(g),
+            sum(1 << v for v in starts),
+            sum(1 << v for v in allowed),
+        )
+        assert got == sum(1 << v for v in seen)
 
 
 def test_two_colour_path_needs_two_blocks():

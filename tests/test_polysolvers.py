@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from colourful.graph import (
     ColouredGraph,
     UnsupportedInstanceError,
+    connected_components,
     is_colourful_partition,
     is_valid_deletion_set,
 )
@@ -14,6 +15,7 @@ from colourful.oracle import (
     brute_min_deletions,
     brute_min_partition,
     brute_sat,
+    find_two_partition,
 )
 from colourful.polysolvers import (
     TwoSatFormula,
@@ -23,7 +25,7 @@ from colourful.polysolvers import (
     two_sat_solve,
 )
 
-from helpers import random_coloured_graph
+from helpers import random_coloured_graph, random_colours_with_repeats
 
 
 # ---------------------------------------------------------------------------
@@ -181,3 +183,111 @@ def test_tw2_solver_two_components():
 def test_tw2_solver_colourful_graph_is_one_block():
     g = ColouredGraph.build(3, (1, 2, 3), [(0, 1), (1, 2)])
     assert solve_2cp_treewidth2(g) == (frozenset({0, 1, 2}),)
+
+
+def random_partial_2tree(rng: random.Random, n: int) -> list[tuple[int, int]]:
+    """Edges of a connected spanning subgraph of a random 2-tree on n >= 2
+    vertices, so treewidth at most 2.  Each new vertex joins both ends of
+    an earlier 2-tree edge; one of its two edges is always kept."""
+    tree_edges = [(0, 1)]
+    kept = {(0, 1)}
+    for v in range(2, n):
+        a, b = rng.choice(tree_edges)
+        tree_edges += [(a, v), (b, v)]
+        first, second = rng.sample([(a, v), (b, v)], 2)
+        kept.add(first)
+        if rng.random() < 0.5:
+            kept.add(second)
+    return sorted(kept)
+
+
+def planted_two_block_colours(
+    rng: random.Random, n: int, edges: list[tuple[int, int]]
+) -> tuple[int, ...]:
+    """Colours making a random split of a connected graph into two
+    connected blocks a colourful partition, with several colours shared by
+    both blocks.  One block is the largest component left by deleting a
+    random connected set; the other is everything else, which stays
+    connected because every leftover component touches the deleted set."""
+    g = ColouredGraph.build(n, tuple(range(1, n + 1)), edges)
+    grown = {rng.randrange(n)}
+    target = rng.randint(n // 3, n - n // 3)
+    while len(grown) < target:
+        grown.add(rng.choice(sorted({w for u in grown for w in g.adj[u]} - grown)))
+    outside = sorted(set(range(n)) - grown)
+    rest = [outside[v] for v in max(connected_components(g.subgraph(outside)), key=len)]
+    block = set(range(n)) - set(rest)
+    colours = [0] * n
+    for c, v in enumerate(sorted(block), start=1):
+        colours[v] = c
+    shared = rng.sample(range(1, len(block) + 1), min(len(block), len(rest), rng.randint(2, 6)))
+    fresh = list(range(len(block) + 1, n + 1))
+    rng.shuffle(rest)
+    for i, v in enumerate(rest):
+        colours[v] = shared[i] if i < len(shared) else fresh[i]
+    return tuple(colours)
+
+
+def test_tw2_solver_agrees_with_two_block_search_on_larger_graphs():
+    rng = random.Random(12)
+    yes = no = 0
+    for trial in range(80):
+        n = rng.randint(12, 40)
+        edges = random_partial_2tree(rng, n)
+        planted = trial % 2 == 0
+        if planted:
+            colours = planted_two_block_colours(rng, n, edges)
+        else:
+            colours = random_colours_with_repeats(rng, n, rng.randint(2, n // 4))
+        g = ColouredGraph.build(n, colours, edges)
+        part = solve_2cp_treewidth2(g)
+        search = find_two_partition(g)
+        assert (part is None) == (search is None)
+        if planted:
+            assert part is not None
+        if part is None:
+            no += 1
+        else:
+            yes += 1
+            assert len(part) == 2
+            assert is_colourful_partition(g, part)
+            assert is_colourful_partition(g, search)
+    assert yes >= 30 and no >= 15
+
+
+def test_tw2_solver_finds_cut_at_far_end_of_path():
+    # colours 1..m twice along a path: every same-colour pair is m edges
+    # apart and the only valid cut is the middle edge, the last edge of
+    # the path between the two vertices of colour 1
+    for m in range(3, 12):
+        g = ColouredGraph.build(
+            2 * m, tuple(list(range(1, m + 1)) * 2), [(i, i + 1) for i in range(2 * m - 1)]
+        )
+        assert solve_2cp_treewidth2(g) == (
+            frozenset(range(m)), frozenset(range(m, 2 * m))
+        )
+
+
+def test_tw2_solver_finds_ladder_rails():
+    # rails u_i = i and w_i = L + i with rungs (u_i, w_i) of one colour each:
+    # the only two blocks are the rails, so the cut is every rung, most of
+    # them far from the one-rung path between a same-coloured pair
+    for length in range(6, 21, 2):
+        edges = [(i, i + 1) for i in range(length - 1)]
+        edges += [(length + i, length + i + 1) for i in range(length - 1)]
+        edges += [(i, length + i) for i in range(length)]
+        colours = tuple(list(range(1, length + 1)) * 2)
+        g = ColouredGraph.build(2 * length, colours, sorted(edges))
+        assert solve_2cp_treewidth2(g) == (
+            frozenset(range(length)), frozenset(range(length, 2 * length))
+        )
+        assert find_two_partition(g) == solve_2cp_treewidth2(g)
+
+
+def test_tw2_solver_rejects_a_thrice_used_colour_before_the_width_check():
+    # K4 has treewidth 3, but three vertices of one colour never fit into
+    # two blocks
+    k4 = ColouredGraph.build(
+        4, (1, 1, 1, 2), [(u, v) for u in range(4) for v in range(u + 1, 4)]
+    )
+    assert solve_2cp_treewidth2(k4) is None
