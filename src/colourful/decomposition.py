@@ -10,6 +10,7 @@ The text format for decompositions is:
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -145,14 +146,21 @@ def serialize_td(td: TreeDecomposition) -> str:
 
 
 def _greedy_min_degree_order(adj: list[set[int]]) -> tuple[list[int], int]:
-    """Min-degree elimination ordering and the width it achieves."""
+    """Min-degree elimination ordering (ties to the smaller vertex) and the
+    width it achieves.  A heap holds (degree, vertex) entries; a vertex is
+    pushed again whenever its degree changes, and entries of eliminated
+    vertices or of outdated degrees are skipped."""
     adj = [set(s) for s in adj]
-    alive = set(range(len(adj)))
+    heap = [(len(s), v) for v, s in enumerate(adj)]
+    heapq.heapify(heap)
+    eliminated = [False] * len(adj)
     order = []
     width = 0
-    while alive:
-        v = min(alive, key=lambda u: (len(adj[u]), u))
-        width = max(width, len(adj[v]))
+    while heap:
+        degree, v = heapq.heappop(heap)
+        if eliminated[v] or degree != len(adj[v]):
+            continue
+        width = max(width, degree)
         neigh = list(adj[v])
         for x in neigh:
             adj[x].discard(v)
@@ -161,9 +169,11 @@ def _greedy_min_degree_order(adj: list[set[int]]) -> tuple[list[int], int]:
                 if x < y:
                     adj[x].add(y)
                     adj[y].add(x)
-        alive.discard(v)
+        eliminated[v] = True
         adj[v] = set()
         order.append(v)
+        for x in neigh:
+            heapq.heappush(heap, (len(adj[x]), x))
     return order, width
 
 

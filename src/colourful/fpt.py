@@ -7,27 +7,41 @@ colour is not unique.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .decomposition import NiceTreeDecomposition, exact_tree_decomposition, to_nice
 from .graph import (
     ColouredGraph,
-    Partition,
     SolveResult,
     UnsupportedInstanceError,
     canonical_partition,
     connected_components,
+    induces_connected,
     is_colourful_partition,
     is_valid_deletion_set,
     norm_edge,
 )
 from .polysolvers import hopcroft_karp
 
+
+# ---------------------------------------------------------------------------
+# One DP over nice tree decompositions, parameterized by treewidth + number
+# of colours.  A state is a Key; each problem supplies how a vertex is
+# introduced and how two subtrees are joined, and forgetting is shared.
+# ---------------------------------------------------------------------------
+
 # A DP key pairs a partition of the bag with, per part, the colours of the
 # already-forgotten vertices absorbed into that part's class.
 Key = tuple[tuple[frozenset[int], ...], tuple[frozenset[int], ...]]
+Table = dict[Key, int]  # the least value found per key
 
 EMPTY_KEY: Key = ((), ())
+
+# A step maps a whole child table to (key, value, back-pointer) moves.  The
+# back-pointers are ("l",) at a leaf, ("i", child key, indices of the child
+# parts merged with the new vertex), ("f", child key, index of the forgotten
+# vertex's part) and ("j", left key, right key).
+Moves = Iterable[tuple[Key, int, tuple]]
 
 
 def _canon(blocks: Sequence[frozenset[int]], rhos: Sequence[frozenset[int]]) -> Key:
@@ -47,51 +61,68 @@ def _default_nice(
     return to_nice(td, g)
 
 
-# ---------------------------------------------------------------------------
-# Minimum colourful partition, parameterized by treewidth + number of colours
-# ---------------------------------------------------------------------------
+def _disjoint(*collections: Collection[int]) -> bool:
+    """True iff no element occurs twice, within or across the collections."""
+    return sum(map(len, collections)) == len(set().union(*collections))
 
 
-def _partition_introduce(
-    g: ColouredGraph, v: int, ckey: Key
-) -> Iterator[tuple[Key, int, tuple[int, ...]]]:
-    """(new key, value delta, merged child-part indices) for introducing v."""
-    blocks, rhos = ckey
-    candidates = [
-        i for i, blk in enumerate(blocks) if any(w in g.adj[v] for w in blk)
-    ]
-    for r in range(len(candidates) + 1):
-        for rset in combinations(candidates, r):
-            merged = {v} | frozenset().union(*(blocks[i] for i in rset))
-            colours_here = [g.colours[u] for u in sorted(merged)]
-            if len(set(colours_here)) != len(colours_here):
-                continue
-            sets = [rhos[i] for i in rset] + [frozenset(colours_here)]
-            if sum(len(s) for s in sets) != len(frozenset().union(*sets)):
-                continue
-            new_blocks = [b for i, b in enumerate(blocks) if i not in rset]
-            new_rhos = [p for i, p in enumerate(rhos) if i not in rset]
-            new_blocks.append(frozenset(merged))
-            new_rhos.append(frozenset().union(*(rhos[i] for i in rset)))
-            yield _canon(new_blocks, new_rhos), 1 - len(rset), rset
+def _tree_dp(
+    g: ColouredGraph,
+    nice: NiceTreeDecomposition,
+    introduce: Callable[[ColouredGraph, int, frozenset[int], Table], Moves],
+    join: Callable[[ColouredGraph, frozenset[int], Table, Table], Moves],
+) -> tuple[int, dict[int, dict[Key, tuple]], int]:
+    """Bottom-up minimisation over the nice decomposition: each node keeps,
+    per key, the least value of the moves reaching it and the first move
+    attaining it.  Returns the root value, the back-pointer tables and the
+    size of the largest table."""
+    tables: dict[int, Table] = {}
+    backs: dict[int, dict[Key, tuple]] = {}
+    max_table = 0
+    for node in nice.postorder():
+        kind = nice.kind[node]
+        bag = nice.bags[node]
+        if kind == "leaf":
+            moves: Moves = [(EMPTY_KEY, 0, ("l",))]
+        elif kind == "join":
+            left, right = nice.children[node]
+            moves = join(g, bag, tables.pop(left), tables.pop(right))
+        else:
+            (child,) = nice.children[node]
+            step = introduce if kind == "introduce" else _forget
+            moves = step(g, nice.delta[node], bag, tables.pop(child))
+        table: Table = {}
+        back: dict[Key, tuple] = {}
+        for key, val, info in moves:
+            if key not in table or val < table[key]:
+                table[key] = val
+                back[key] = info
+        tables[node] = table
+        backs[node] = back
+        max_table = max(max_table, len(table))
+    return tables[nice.root][EMPTY_KEY], backs, max_table
 
 
-def _partition_forget(
-    g: ColouredGraph, v: int, ckey: Key
-) -> tuple[Key, int]:
-    """(new key, index of v's part in the child key) after forgetting v."""
-    blocks, rhos = ckey
-    idx = next(i for i, blk in enumerate(blocks) if v in blk)
-    if blocks[idx] == frozenset({v}):
-        return _canon(
-            [b for i, b in enumerate(blocks) if i != idx],
-            [p for i, p in enumerate(rhos) if i != idx],
-        ), idx
-    new_blocks = list(blocks)
-    new_rhos = list(rhos)
-    new_blocks[idx] = blocks[idx] - {v}
-    new_rhos[idx] = rhos[idx] | {g.colours[v]}
-    return _canon(new_blocks, new_rhos), idx
+def _forget(
+    g: ColouredGraph, v: int, bag: frozenset[int], table: Table
+) -> Moves:
+    """Drop v from its part: a part left empty closes its class, any other
+    part adds v's colour to its forgotten colours."""
+    for ckey, cval in table.items():
+        blocks, rhos = ckey
+        idx = next(i for i, blk in enumerate(blocks) if v in blk)
+        if blocks[idx] == frozenset({v}):
+            key = _canon(
+                [b for i, b in enumerate(blocks) if i != idx],
+                [p for i, p in enumerate(rhos) if i != idx],
+            )
+        else:
+            new_blocks = list(blocks)
+            new_rhos = list(rhos)
+            new_blocks[idx] = blocks[idx] - {v}
+            new_rhos[idx] = rhos[idx] | {g.colours[v]}
+            key = _canon(new_blocks, new_rhos)
+        yield key, cval, ("f", ckey, idx)
 
 
 def _coarsen(
@@ -134,28 +165,114 @@ def _coarsen(
     return ordered, vertex_sets
 
 
+def _replay(
+    nice: NiceTreeDecomposition, backs: dict[int, dict[Key, tuple]]
+) -> list[frozenset[int]]:
+    """The classes of an optimal solution.  Follow the back-pointers down
+    from the root's empty key, then rebuild bottom-up, per part of each
+    chosen key, the vertices its class holds so far; a class is closed when
+    its last bag vertex is forgotten.  Joins pair parts as `_coarsen` does,
+    which for two equal bag partitions pairs part i with part i."""
+    chosen: dict[int, Key] = {nice.root: EMPTY_KEY}
+    stack = [nice.root]
+    topdown = []
+    while stack:
+        node = stack.pop()
+        topdown.append(node)
+        info = backs[node][chosen[node]]
+        for child, ckey in zip(nice.children[node], info[1:]):
+            chosen[child] = ckey
+            stack.append(child)
+    live: dict[int, list[frozenset[int]]] = {}
+    closed: list[frozenset[int]] = []
+    for node in reversed(topdown):
+        info = backs[node][chosen[node]]
+        if info[0] == "l":
+            live[node] = []
+        elif info[0] == "j":
+            left, right = nice.children[node]
+            lparts, rparts = live.pop(left), live.pop(right)
+            groups, _ = _coarsen(info[1], info[2])
+            live[node] = [
+                frozenset().union(
+                    *(lparts[i] for i in lidx), *(rparts[j] for j in ridx)
+                )
+                for lidx, ridx in groups
+            ]
+        else:
+            (child,) = nice.children[node]
+            _, ckey, pick = info
+            v = nice.delta[node]
+            blocks, parts = list(ckey[0]), live.pop(child)
+            if info[0] == "i":
+                blocks = [b for i, b in enumerate(blocks) if i not in pick] + [
+                    frozenset({v}).union(*(blocks[i] for i in pick))
+                ]
+                parts = [p for i, p in enumerate(parts) if i not in pick] + [
+                    frozenset({v}).union(*(parts[i] for i in pick))
+                ]
+            elif blocks[pick] == frozenset({v}):
+                closed.append(parts.pop(pick))
+                del blocks[pick]
+            else:
+                blocks[pick] = blocks[pick] - {v}
+            order = sorted(range(len(blocks)), key=lambda i: min(blocks[i]))
+            live[node] = [parts[i] for i in order]
+    assert not live[nice.root]
+    return closed
+
+
+# ---------------------------------------------------------------------------
+# Minimum colourful partition: a part is one connected, colourful class
+# ---------------------------------------------------------------------------
+
+
+def _partition_introduce(
+    g: ColouredGraph, v: int, bag: frozenset[int], table: Table
+) -> Moves:
+    """v opens a part that swallows any set of parts adjacent to it, as long
+    as the merged class stays colourful; the value counts parts opened."""
+    for ckey, cval in table.items():
+        blocks, rhos = ckey
+        candidates = [
+            i for i, blk in enumerate(blocks) if any(w in g.adj[v] for w in blk)
+        ]
+        for r in range(len(candidates) + 1):
+            for rset in combinations(candidates, r):
+                merged = {v} | frozenset().union(*(blocks[i] for i in rset))
+                if not _disjoint(
+                    [g.colours[u] for u in merged], *(rhos[i] for i in rset)
+                ):
+                    continue
+                new_blocks = [b for i, b in enumerate(blocks) if i not in rset]
+                new_rhos = [p for i, p in enumerate(rhos) if i not in rset]
+                new_blocks.append(frozenset(merged))
+                new_rhos.append(frozenset().union(*(rhos[i] for i in rset)))
+                key = _canon(new_blocks, new_rhos)
+                yield key, cval + 1 - len(rset), ("i", ckey, rset)
+
+
 def _partition_join(
-    g: ColouredGraph, lkey: Key, rkey: Key
-) -> tuple[Key, int] | None:
-    groups, vertex_sets = _coarsen(lkey, rkey)
-    new_blocks: list[frozenset[int]] = []
-    new_rhos: list[frozenset[int]] = []
-    for (lidx, ridx), merged in zip(groups, vertex_sets):
-        colours_here = [g.colours[u] for u in sorted(merged)]
-        if len(set(colours_here)) != len(colours_here):
-            return None
-        sets = (
-            [frozenset(colours_here)]
-            + [lkey[1][i] for i in lidx]
-            + [rkey[1][j] for j in ridx]
-        )
-        if sum(len(s) for s in sets) != len(frozenset().union(*sets)):
-            return None
-        new_blocks.append(merged)
-        new_rhos.append(frozenset().union(*sets[1:]))
-    key = _canon(new_blocks, new_rhos)
-    delta = len(key[0]) - len(lkey[0]) - len(rkey[0])
-    return key, delta
+    g: ColouredGraph, bag: frozenset[int], left: Table, right: Table
+) -> Moves:
+    """Glue every pair of states along their mutual coarsening, as long as
+    each glued class stays colourful; parts shared by both sides were
+    counted twice."""
+    for lkey, lval in left.items():
+        for rkey, rval in right.items():
+            groups, vertex_sets = _coarsen(lkey, rkey)
+            new_blocks: list[frozenset[int]] = []
+            new_rhos: list[frozenset[int]] = []
+            for (lidx, ridx), merged in zip(groups, vertex_sets):
+                rhos = [lkey[1][i] for i in lidx] + [rkey[1][j] for j in ridx]
+                if not _disjoint([g.colours[u] for u in merged], *rhos):
+                    break
+                new_blocks.append(merged)
+                new_rhos.append(frozenset().union(*rhos))
+            else:
+                key = _canon(new_blocks, new_rhos)
+                delta = len(key[0]) - len(lkey[0]) - len(rkey[0])
+                yield key, lval + rval + delta, ("j", lkey, rkey)
 
 
 def dp_partition(
@@ -167,129 +284,64 @@ def dp_partition(
     decomposition.  Keys pair a partition of the bag with the forgotten
     colours per part; the value counts the parts opened so far."""
     nice = _default_nice(g, nice, max_width)
-    tables: dict[int, dict[Key, int]] = {}
-    backs: dict[int, dict[Key, tuple]] = {}
-    max_table = 0
-    for node in nice.postorder():
-        kind = nice.kind[node]
-        table: dict[Key, int] = {}
-        back: dict[Key, tuple] = {}
-
-        def absorb(key: Key, val: int, info: tuple) -> None:
-            if key not in table or val < table[key]:
-                table[key] = val
-                back[key] = info
-
-        if kind == "leaf":
-            absorb(EMPTY_KEY, 0, ("l",))
-        elif kind == "introduce":
-            (child,) = nice.children[node]
-            v = nice.delta[node]
-            for ckey, cval in tables[child].items():
-                for key, delta, rset in _partition_introduce(g, v, ckey):
-                    absorb(key, cval + delta, ("i", ckey, rset))
-        elif kind == "forget":
-            (child,) = nice.children[node]
-            v = nice.delta[node]
-            for ckey, cval in tables[child].items():
-                key, idx = _partition_forget(g, v, ckey)
-                absorb(key, cval, ("f", ckey, idx))
-        else:  # join
-            left, right = nice.children[node]
-            for lkey, lval in tables[left].items():
-                for rkey, rval in tables[right].items():
-                    out = _partition_join(g, lkey, rkey)
-                    if out is None:
-                        continue
-                    key, delta = out
-                    absorb(key, lval + rval + delta, ("j", lkey, rkey))
-        tables[node] = table
-        backs[node] = back
-        max_table = max(max_table, len(table))
-
-    assert EMPTY_KEY in tables[nice.root], "singleton partitions always exist"
-    optimum = tables[nice.root][EMPTY_KEY]
-    witness = _replay_partition(g, nice, backs)
+    optimum, backs, max_table = _tree_dp(
+        g, nice, _partition_introduce, _partition_join
+    )
+    witness = canonical_partition(_replay(nice, backs))
     assert len(witness) == optimum and is_colourful_partition(g, witness)
     stats = {"nodes": len(nice.bags), "max_table": max_table}
     return SolveResult("partition", optimum, witness, "treewidth-dp", stats)
 
 
-def _replay_partition(
-    g: ColouredGraph, nice: NiceTreeDecomposition, backs: dict[int, dict[Key, tuple]]
-) -> Partition:
-    chosen: dict[int, Key] = {nice.root: EMPTY_KEY}
-    stack = [nice.root]
-    topdown = []
-    while stack:
-        node = stack.pop()
-        topdown.append(node)
-        info = backs[node][chosen[node]]
-        if info[0] == "i" or info[0] == "f":
-            (child,) = nice.children[node]
-            chosen[child] = info[1]
-            stack.append(child)
-        elif info[0] == "j":
-            left, right = nice.children[node]
-            chosen[left], chosen[right] = info[1], info[2]
-            stack.extend((left, right))
-    # bottom-up: per node, the vertex sets of live parts (aligned with the
-    # chosen key) plus the list of completed blocks
-    live: dict[int, list[frozenset[int]]] = {}
-    done: dict[int, list[frozenset[int]]] = {}
-    for node in reversed(topdown):
-        info = backs[node][chosen[node]]
-        if info[0] == "l":
-            live[node], done[node] = [], []
-        elif info[0] == "i":
-            (child,) = nice.children[node]
-            _, ckey, rset = info
-            v = nice.delta[node]
-            blocks = ckey[0]
-            pre_blocks = [b for i, b in enumerate(blocks) if i not in rset]
-            pre_live = [live[child][i] for i in range(len(blocks)) if i not in rset]
-            merged_bag = frozenset({v}).union(*(blocks[i] for i in rset))
-            merged_live = frozenset({v}).union(*(live[child][i] for i in rset))
-            pre_blocks.append(merged_bag)
-            pre_live.append(merged_live)
-            order = sorted(range(len(pre_blocks)), key=lambda i: min(pre_blocks[i]))
-            live[node] = [pre_live[i] for i in order]
-            done[node] = done[child]
-        elif info[0] == "f":
-            (child,) = nice.children[node]
-            _, ckey, idx = info
-            v = nice.delta[node]
-            blocks = ckey[0]
-            if blocks[idx] == frozenset({v}):
-                done[node] = done[child] + [live[child][idx]]
-                pre_blocks = [b for i, b in enumerate(blocks) if i != idx]
-                pre_live = [live[child][i] for i in range(len(blocks)) if i != idx]
-            else:
-                done[node] = done[child]
-                pre_blocks = [
-                    b - {v} if i == idx else b for i, b in enumerate(blocks)
-                ]
-                pre_live = list(live[child])
-            order = sorted(range(len(pre_blocks)), key=lambda i: min(pre_blocks[i]))
-            live[node] = [pre_live[i] for i in order]
-        else:  # join
-            left, right = nice.children[node]
-            _, lkey, rkey = info
-            groups, _ = _coarsen(lkey, rkey)
-            live[node] = [
-                frozenset().union(
-                    *(live[left][i] for i in lidx), *(live[right][j] for j in ridx)
-                )
-                for lidx, ridx in groups
-            ]
-            done[node] = done[left] + done[right]
-    assert not live[nice.root]
-    return canonical_partition(done[nice.root])
+# ---------------------------------------------------------------------------
+# Minimum deletions: a part is one colourful class, connected or not, and
+# every edge between two classes is deleted
+# ---------------------------------------------------------------------------
 
 
-# ---------------------------------------------------------------------------
-# Minimum deletions, parameterized by treewidth + number of colours
-# ---------------------------------------------------------------------------
+def _components_introduce(
+    g: ColouredGraph, v: int, bag: frozenset[int], table: Table
+) -> Moves:
+    """v joins one class that lacks its colour, or opens a new class; each
+    edge from v to another class in the bag is deleted."""
+    colour = g.colours[v]
+    bag_nbrs = g.adj[v] & bag
+    for ckey, cval in table.items():
+        blocks, rhos = ckey
+        for i, blk in enumerate(blocks):
+            if colour in rhos[i] or any(g.colours[u] == colour for u in blk):
+                continue
+            new_blocks = list(blocks)
+            new_blocks[i] = blk | {v}
+            key = _canon(new_blocks, rhos)
+            yield key, cval + len(bag_nbrs - blk), ("i", ckey, (i,))
+        key = _canon(list(blocks) + [frozenset({v})], list(rhos) + [frozenset()])
+        yield key, cval + len(bag_nbrs), ("i", ckey, ())
+
+
+def _components_join(
+    g: ColouredGraph, bag: frozenset[int], left: Table, right: Table
+) -> Moves:
+    """Glue states with the same bag partition whose classes forgot disjoint
+    colours; deleted edges inside the bag were counted on both sides."""
+    by_p: dict[tuple[frozenset[int], ...], list[Key]] = {}
+    for rkey in right:
+        by_p.setdefault(rkey[0], []).append(rkey)
+    bag_edges = [
+        (u, w)
+        for u in sorted(bag)
+        for w in sorted(bag)
+        if u < w and g.has_edge(u, w)
+    ]
+    for lkey, lval in left.items():
+        blocks = lkey[0]
+        part_of = {u: i for i, blk in enumerate(blocks) for u in blk}
+        e_p = sum(1 for u, w in bag_edges if part_of[u] != part_of[w])
+        for rkey in by_p.get(blocks, ()):
+            if any(a & b for a, b in zip(lkey[1], rkey[1])):
+                continue
+            rhos = tuple(a | b for a, b in zip(lkey[1], rkey[1]))
+            yield (blocks, rhos), lval + right[rkey] - e_p, ("j", lkey, rkey)
 
 
 def dp_components(
@@ -302,79 +354,10 @@ def dp_components(
     colourful classes (connectivity not required) minimising the number of
     edges whose endpoints land in different classes."""
     nice = _default_nice(g, nice, max_width)
-    tables: dict[int, dict[Key, int]] = {}
-    backs: dict[int, dict[Key, tuple]] = {}
-    max_table = 0
-    for node in nice.postorder():
-        kind = nice.kind[node]
-        table: dict[Key, int] = {}
-        back: dict[Key, tuple] = {}
-
-        def absorb(key: Key, val: int, info: tuple) -> None:
-            if key not in table or val < table[key]:
-                table[key] = val
-                back[key] = info
-
-        if kind == "leaf":
-            absorb(EMPTY_KEY, 0, ("l",))
-        elif kind == "introduce":
-            (child,) = nice.children[node]
-            v = nice.delta[node]
-            bag_nbrs = g.adj[v] & nice.bags[child]
-            for ckey, cval in tables[child].items():
-                blocks, rhos = ckey
-                for i, blk in enumerate(blocks):
-                    if g.colours[v] in rhos[i]:
-                        continue
-                    if any(g.colours[u] == g.colours[v] for u in blk):
-                        continue
-                    cost = len(bag_nbrs - blk)
-                    new_blocks = list(blocks)
-                    new_blocks[i] = blk | {v}
-                    key = _canon(new_blocks, rhos)
-                    absorb(key, cval + cost, ("i", ckey, i))
-                key = _canon(
-                    list(blocks) + [frozenset({v})], list(rhos) + [frozenset()]
-                )
-                absorb(key, cval + len(bag_nbrs), ("i", ckey, -1))
-        elif kind == "forget":
-            (child,) = nice.children[node]
-            v = nice.delta[node]
-            for ckey, cval in tables[child].items():
-                key, idx = _partition_forget(g, v, ckey)
-                absorb(key, cval, ("f", ckey, idx))
-        else:  # join
-            left, right = nice.children[node]
-            by_p: dict[tuple[frozenset[int], ...], list[Key]] = {}
-            for rkey in tables[right]:
-                by_p.setdefault(rkey[0], []).append(rkey)
-            bag_edges = [
-                (u, w)
-                for u in sorted(nice.bags[node])
-                for w in sorted(nice.bags[node])
-                if u < w and g.has_edge(u, w)
-            ]
-            for lkey, lval in tables[left].items():
-                blocks = lkey[0]
-                part_of = {u: i for i, blk in enumerate(blocks) for u in blk}
-                e_p = sum(1 for u, w in bag_edges if part_of[u] != part_of[w])
-                for rkey in by_p.get(blocks, ()):
-                    if any(a & b for a, b in zip(lkey[1], rkey[1])):
-                        continue
-                    rhos = tuple(a | b for a, b in zip(lkey[1], rkey[1]))
-                    absorb(
-                        (blocks, rhos),
-                        lval + tables[right][rkey] - e_p,
-                        ("j", lkey, rkey),
-                    )
-        tables[node] = table
-        backs[node] = back
-        max_table = max(max_table, len(table))
-
-    assert EMPTY_KEY in tables[nice.root]
-    optimum = tables[nice.root][EMPTY_KEY]
-    classes = _replay_components(g, nice, backs)
-    class_of = {u: i for i, cls in enumerate(classes) for u in cls}
+    optimum, backs, max_table = _tree_dp(
+        g, nice, _components_introduce, _components_join
+    )
+    class_of = {u: i for i, cls in enumerate(_replay(nice, backs)) for u in cls}
     deleted = frozenset(
         norm_edge(u, v) for u, v in g.edges() if class_of[u] != class_of[v]
     )
@@ -382,76 +365,6 @@ def dp_components(
     assert is_valid_deletion_set(g, deleted)
     stats = {"nodes": len(nice.bags), "max_table": max_table}
     return SolveResult("components", optimum, deleted, "treewidth-dp", stats)
-
-
-def _replay_components(
-    g: ColouredGraph, nice: NiceTreeDecomposition, backs: dict[int, dict[Key, tuple]]
-) -> list[frozenset[int]]:
-    chosen: dict[int, Key] = {nice.root: EMPTY_KEY}
-    stack = [nice.root]
-    topdown = []
-    while stack:
-        node = stack.pop()
-        topdown.append(node)
-        info = backs[node][chosen[node]]
-        if info[0] in ("i", "f"):
-            (child,) = nice.children[node]
-            chosen[child] = info[1]
-            stack.append(child)
-        elif info[0] == "j":
-            left, right = nice.children[node]
-            chosen[left], chosen[right] = info[1], info[2]
-            stack.extend((left, right))
-    live: dict[int, list[frozenset[int]]] = {}
-    done: dict[int, list[frozenset[int]]] = {}
-    for node in reversed(topdown):
-        info = backs[node][chosen[node]]
-        if info[0] == "l":
-            live[node], done[node] = [], []
-        elif info[0] == "i":
-            (child,) = nice.children[node]
-            _, ckey, idx = info
-            v = nice.delta[node]
-            blocks = ckey[0]
-            if idx == -1:
-                pre_blocks = list(blocks) + [frozenset({v})]
-                pre_live = list(live[child]) + [frozenset({v})]
-            else:
-                pre_blocks = [
-                    b | {v} if i == idx else b for i, b in enumerate(blocks)
-                ]
-                pre_live = [
-                    s | {v} if i == idx else s
-                    for i, s in enumerate(live[child])
-                ]
-            order = sorted(range(len(pre_blocks)), key=lambda i: min(pre_blocks[i]))
-            live[node] = [pre_live[i] for i in order]
-            done[node] = done[child]
-        elif info[0] == "f":
-            (child,) = nice.children[node]
-            _, ckey, idx = info
-            v = nice.delta[node]
-            blocks = ckey[0]
-            if blocks[idx] == frozenset({v}):
-                done[node] = done[child] + [live[child][idx]]
-                pre_blocks = [b for i, b in enumerate(blocks) if i != idx]
-                pre_live = [live[child][i] for i in range(len(blocks)) if i != idx]
-            else:
-                done[node] = done[child]
-                pre_blocks = [
-                    b - {v} if i == idx else b for i, b in enumerate(blocks)
-                ]
-                pre_live = list(live[child])
-            order = sorted(range(len(pre_blocks)), key=lambda i: min(pre_blocks[i]))
-            live[node] = [pre_live[i] for i in order]
-        else:  # join: identical bag partitions align by position
-            left, right = nice.children[node]
-            live[node] = [
-                a | b for a, b in zip(live[left], live[right])
-            ]
-            done[node] = done[left] + done[right]
-    assert not live[nice.root]
-    return done[nice.root]
 
 
 # ---------------------------------------------------------------------------
@@ -472,21 +385,6 @@ def _set_partitions(
             yield sub[:i] + [[first] + sub[i]] + sub[i + 1 :]
         if max_parts is None or len(sub) < max_parts:
             yield [[first]] + sub
-
-
-def _is_connected_set(adj: Sequence[frozenset[int]], vertices: set[int]) -> bool:
-    if not vertices:
-        return True
-    start = min(vertices)
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if w in vertices and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(vertices)
 
 
 def _kernel_min_partition(
@@ -524,7 +422,7 @@ def _kernel_min_partition(
             contents = [set(blk) for blk in q_blocks]
             for v, j in assign:
                 contents[j].add(v)
-            if all(_is_connected_set(adj, c) for c in contents):
+            if all(induces_connected(g, frozenset(c)) for c in contents):
                 best[0] = len(q_blocks) + singles
                 best_assign[0] = list(assign)
             return
@@ -736,7 +634,7 @@ def _dcs(
     def rec(idx: int, unassigned: set[int]) -> bool:
         if idx == len(free):
             return all(
-                not slot or _is_connected_set(g.adj, slot) for slot in slots
+                not slot or induces_connected(g, frozenset(slot)) for slot in slots
             )
         v = free[idx]
         unassigned.discard(v)

@@ -1,8 +1,11 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import colourful
 from colourful.cli import main
 from colourful.gadgets import gen_example1
 from colourful.graph import parse_instance, serialize_instance
@@ -216,9 +219,16 @@ def test_bench_empty_manifest(tmp_path, capsys):
 def test_console_entry_point_runs(tmp_path):
     path = tmp_path / "ex.cg"
     path.write_text(serialize_instance(gen_example1(2)))
+    # the child must import the same `colourful` as this process, installed
+    # or not
+    src = str(Path(colourful.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
     proc = subprocess.run(
         [sys.executable, "-m", "colourful.cli", "solve", str(path)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "partition 2"

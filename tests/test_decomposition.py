@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from colourful.decomposition import (
     TreeDecomposition,
+    _greedy_min_degree_order,
     exact_tree_decomposition,
     normalize_for_2cp,
     parse_td,
@@ -73,6 +74,29 @@ def test_decomposition_validates_on_random_graphs():
                 break
         else:
             assert g.n == 0
+
+
+def test_greedy_order_matches_min_scan():
+    def min_scan(adj):
+        adj = [set(s) for s in adj]
+        alive = set(range(len(adj)))
+        order, width = [], 0
+        while alive:
+            v = min(alive, key=lambda u: (len(adj[u]), u))
+            width = max(width, len(adj[v]))
+            for x in adj[v]:
+                adj[x] |= adj[v] - {x}
+                adj[x].discard(v)
+            alive.discard(v)
+            adj[v] = set()
+            order.append(v)
+        return order, width
+
+    rng = random.Random(6)
+    for _ in range(150):
+        g = random_coloured_graph(rng, n_max=40, extra_edges=40)
+        adj = [set(s) for s in g.adj]
+        assert _greedy_min_degree_order(adj) == min_scan(adj)
 
 
 def test_uncertified_large_instances_raise():

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from colourful.decomposition import exact_tree_decomposition, to_nice
 from colourful.fpt import (
@@ -44,7 +45,7 @@ def test_dp_components_matches_oracle():
         g = random_coloured_graph(rng, n_max=7, colours_max=4)
         res = dp_components(g, max_width=6)
         assert res.optimum == brute_min_deletions(g).optimum
-        assert is_valid_deletion_set(g, res.witness) or res.optimum == 0
+        assert is_valid_deletion_set(g, res.witness)
 
 
 def test_dp_accepts_supplied_decomposition():
@@ -89,6 +90,49 @@ def test_dp_empty_and_singleton():
     single = ColouredGraph.build(1, (1,), [])
     assert dp_partition(single).optimum == 1
     assert dp_components(single).optimum == 0
+
+
+@st.composite
+def small_graphs(draw, n_max=6):
+    n = draw(st.integers(0, n_max))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.sets(st.sampled_from(pairs), max_size=n + 3)) if pairs else ()
+    colours = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    return ColouredGraph.build(n, tuple(colours), sorted(edges))
+
+
+def dp_optima(g):
+    width = max(g.n - 1, 0)
+    return (
+        dp_partition(g, max_width=width).optimum,
+        dp_components(g, max_width=width).optimum,
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_dp_optima_ignore_relabelling(data):
+    g = data.draw(small_graphs())
+    perm = data.draw(st.permutations(range(g.n)))
+    recolour = data.draw(st.permutations([2, 5, 7]))
+    h = ColouredGraph.build(
+        g.n,
+        tuple(recolour[g.colours[perm.index(v)] - 1] for v in range(g.n)),
+        [(perm[u], perm[v]) for u, v in g.edges()],
+    )
+    assert dp_optima(h) == dp_optima(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_graphs(n_max=5), small_graphs(n_max=5))
+def test_dp_optima_add_over_disjoint_union(g, h):
+    union = ColouredGraph.build(
+        g.n + h.n,
+        g.colours + h.colours,
+        g.edges() + [(u + g.n, v + g.n) for u, v in h.edges()],
+    )
+    (gp, gc), (hp, hc) = dp_optima(g), dp_optima(h)
+    assert dp_optima(union) == (gp + hp, gc + hc)
 
 
 # ---------------------------------------------------------------------------
