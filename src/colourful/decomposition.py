@@ -18,7 +18,9 @@ from .graph import (
     ColouredGraph,
     ParseError,
     UnsupportedInstanceError,
-    connected_components,
+    components,
+    induces_connected,
+    search,
 )
 
 
@@ -48,41 +50,28 @@ class TreeDecomposition:
                 raise ValueError(f"bad tree edge ({i},{j})")
         if len(self.edges) != k - 1:
             raise ValueError("tree must have exactly one fewer edge than nodes")
-        # connectivity of the tree
-        nb = self.neighbours()
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for v in nb[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        if len(seen) != k:
+        if len(search(self.neighbours(), 0)) != k:
             raise ValueError("tree of bags is not connected")
-        for bag in self.bags:
+        where: list[list[int]] = [[] for _ in range(g.n)]
+        for i, bag in enumerate(self.bags):
             for v in bag:
                 if not 0 <= v < g.n:
                     raise ValueError(f"bag vertex {v} out of range")
-        covered = set().union(*self.bags) if self.bags else set()
-        if covered != set(range(g.n)):
+                where[v].append(i)
+        if not all(where):
             raise ValueError("bags do not cover the vertex set")
         for u, v in g.edges():
-            if not any(u in bag and v in bag for bag in self.bags):
+            x, y = (u, v) if len(where[u]) <= len(where[v]) else (v, u)
+            if not any(y in self.bags[i] for i in where[x]):
                 raise ValueError(f"edge ({u},{v}) not inside any bag")
-        # each vertex's bags must induce a subtree
+        # In a tree, a node set is connected iff it spans one edge fewer than
+        # it has nodes; count the tree edges whose two bags share a vertex.
+        spanned = [0] * g.n
+        for i, j in self.edges:
+            for v in self.bags[i] & self.bags[j]:
+                spanned[v] += 1
         for v in range(g.n):
-            nodes = [i for i, bag in enumerate(self.bags) if v in bag]
-            seen_v = {nodes[0]}
-            stack = [nodes[0]]
-            node_set = set(nodes)
-            while stack:
-                u = stack.pop()
-                for w in nb[u]:
-                    if w in node_set and w not in seen_v:
-                        seen_v.add(w)
-                        stack.append(w)
-            if len(seen_v) != len(nodes):
+            if spanned[v] != len(where[v]) - 1:
                 raise ValueError(f"bags containing vertex {v} are not connected")
 
     def is_path(self) -> bool:
@@ -124,7 +113,7 @@ def parse_td(text: str) -> TreeDecomposition:
                 raise ParseError(f"bad tree edge line: {' '.join(parts)}") from exc
         else:
             raise ParseError(f"unknown decomposition line '{' '.join(parts)}'")
-    if sorted(bags) != list(range(count)):
+    if len(bags) != count or sorted(bags) != list(range(count)):
         raise ParseError(f"expected bags 0..{count - 1}")
     td = TreeDecomposition(tuple(bags[i] for i in range(count)), tuple(edges))
     if td.width != width:
@@ -464,8 +453,7 @@ class RootedDecomposition2CP:
             if not (bi < bp or bp < bi):
                 raise ValueError(f"bags of {i} and its parent do not strictly nest")
         for i, vs in enumerate(self.subtree_vertices):
-            sub = g.subgraph(vs)
-            if sub.n and len(connected_components(sub)) != 1:
+            if vs and not induces_connected(g, vs):
                 raise ValueError(f"subtree of node {i} spans a disconnected part")
         for i, flag in enumerate(self.head):
             if flag != self._head_by_walk(i):
@@ -532,16 +520,11 @@ def normalize_for_2cp(
                 return True
         return False
 
-    def tree_component(start: int, removed: int) -> set[int]:
-        seen = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w != removed and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen
+    def tree_component(start: int, removed: int | None) -> dict[int, int | None]:
+        """The nodes still linked to start once removed leaves the tree, each
+        mapped to the node it was reached from; with removed the parent of
+        start, this is the subtree of start."""
+        return search(adj, start, bags.keys() - {removed})
 
     def fix_duplicates() -> bool:
         by_bag: dict[frozenset[int], int] = {}
@@ -577,37 +560,13 @@ def normalize_for_2cp(
         adj[root] = {host}
         adj[host].add(root)
 
-    parent: dict[int, int] = {}
-
-    def reroot() -> None:
-        parent.clear()
-        parent[root] = -1
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in parent:
-                    parent[w] = u
-                    stack.append(w)
-
-    def subtree_nodes(i: int) -> list[int]:
-        out = [i]
-        stack = [i]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if parent.get(w) == u:
-                    out.append(w)
-                    stack.append(w)
-        return out
-
     def cleanup() -> bool:
         """Drop non-root nodes with empty bags or a bag equal to the parent's."""
         changed = False
         again = True
         while again:
             again = False
-            reroot()
+            parent = search(adj, root)
             for i in sorted(bags):
                 if i == root:
                     continue
@@ -624,21 +583,17 @@ def normalize_for_2cp(
         return changed
 
     def split_disconnected() -> bool:
-        reroot()
+        parent = search(adj, root)
         for i in sorted(bags):
-            vs = sorted(set().union(*(bags[j] for j in subtree_nodes(i))))
-            sub = g.subgraph(vs)
-            comps = connected_components(sub)
+            nodes = tree_component(i, parent[i])
+            vs = set().union(*(bags[j] for j in nodes))
+            comps = components(g.adj, sorted(vs), vs)
             if len(comps) <= 1:
                 continue
             assert i != root, "the whole graph is connected"
-            comps_orig = sorted(
-                (frozenset(vs[x] for x in comp) for comp in comps),
-                key=lambda c: (len(c), min(c)),
-            )
+            comps_orig = sorted(map(frozenset, comps), key=lambda c: (len(c), min(c)))
             small = comps_orig[0]
             rest = frozenset().union(*comps_orig[1:])
-            nodes = subtree_nodes(i)
             p = parent[i]
             for part in (small, rest):
                 clone = {j: fresh() for j in nodes}
@@ -647,7 +602,7 @@ def normalize_for_2cp(
                     adj[clone[j]] = set()
                 for j in nodes:
                     for w in adj[j]:
-                        if w in clone and parent.get(w) == j:
+                        if nodes.get(w) == j:
                             adj[clone[j]].add(clone[w])
                             adj[clone[w]].add(clone[j])
                 adj[clone[i]].add(p)
@@ -665,37 +620,24 @@ def normalize_for_2cp(
             break
     else:
         raise AssertionError("normalization did not converge")
-    reroot()
+    parent = search(adj, root)
 
     # freeze with dense ids, root first
     ordering = sorted(bags)
     index = {old: i for i, old in enumerate(ordering)}
     fbags = tuple(bags[old] for old in ordering)
     fparent = tuple(
-        index[parent[old]] if parent[old] != -1 else -1 for old in ordering
+        -1 if old == root else index[parent[old]] for old in ordering
     )
     froot = index[root]
+    order = [index[old] for old in parent]
 
-    n_nodes = len(fbags)
-    children: list[list[int]] = [[] for _ in range(n_nodes)]
-    for i, p in enumerate(fparent):
-        if p != -1:
-            children[p].append(i)
-
-    subtree: list[frozenset[int]] = [frozenset()] * n_nodes
-    order: list[int] = []
-    stack = [froot]
-    while stack:
-        u = stack.pop()
-        order.append(u)
-        stack.extend(children[u])
+    subtree = [set(bag) for bag in fbags]
     for u in reversed(order):
-        acc = set(fbags[u])
-        for c in children[u]:
-            acc |= subtree[c]
-        subtree[u] = frozenset(acc)
+        if fparent[u] != -1:
+            subtree[fparent[u]] |= subtree[u]
 
-    head = [False] * n_nodes
+    head = [False] * len(fbags)
     precut: dict[int, tuple[int, int]] = {}
     for u in order:  # parents before children
         p = fparent[u]
@@ -720,7 +662,7 @@ def normalize_for_2cp(
                 raise AssertionError("2-bag child repeats its grandparent's bag")
 
     dec = RootedDecomposition2CP(
-        fbags, fparent, froot, tuple(head), precut, tuple(subtree)
+        fbags, fparent, froot, tuple(head), precut, tuple(map(frozenset, subtree))
     )
     dec.validate(g, a, b)
     return dec

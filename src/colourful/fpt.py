@@ -20,6 +20,7 @@ from .graph import (
     is_colourful_partition,
     is_valid_deletion_set,
     norm_edge,
+    search,
 )
 from .polysolvers import hopcroft_karp
 
@@ -617,17 +618,7 @@ def _dcs(
         for slot in slots:
             if len(slot) <= 1:
                 continue
-            allowed = slot | unassigned
-            start = min(slot)
-            seen = {start}
-            stack = [start]
-            while stack:
-                u = stack.pop()
-                for w in g.adj[u]:
-                    if w in allowed and w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            if not slot <= seen:
+            if not slot <= search(g.adj, min(slot), slot | unassigned).keys():
                 return False
         return True
 

@@ -8,7 +8,6 @@ to check the advertised graph classes.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable, Mapping, Sequence
 
 from .decomposition import TreeDecomposition
@@ -18,7 +17,10 @@ from .graph import (
     EdgeSet,
     Partition,
     canonical_partition,
+    components,
+    is_connected,
     norm_edge,
+    search,
 )
 
 
@@ -224,17 +226,8 @@ def reduce_multicut_tree(
         adj[v].add(u)
     if any(len(a) > 3 for a in adj):
         raise ValueError("input tree must be binary")
-    seen = {0} if n else set()
-    stack = [0] if n else []
-    parent = {0: -1} if n else {}
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                parent[w] = u
-                stack.append(w)
-    if len(seen) != n:
+    parent = search(adj, 0)
+    if len(parent) != n:
         raise ValueError("edges do not form a tree")
     norm_pairs = [tuple(sorted(p)) for p in pairs]
     if len(set(norm_pairs)) != len(norm_pairs):
@@ -244,15 +237,9 @@ def reduce_multicut_tree(
             raise ValueError(f"bad terminal pair ({u},{v})")
 
     depth = [0] * n
-    dq = deque([0])
-    visited = {0}
-    while dq:
-        u = dq.popleft()
-        for w in adj[u]:
-            if w not in visited:
-                visited.add(w)
-                depth[w] = depth[u] + 1
-                dq.append(w)
+    for w, u in parent.items():
+        if u is not None:
+            depth[w] = depth[u] + 1
 
     def path_neighbour(v: int, u: int) -> int:
         """Neighbour of v on the tree path from v to u."""
@@ -564,35 +551,16 @@ def max_degree(g: ColouredGraph) -> int:
 def is_tree(g: ColouredGraph) -> bool:
     if g.n == 0:
         return False
-    if g.m != g.n - 1:
-        return False
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for w in g.adj[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == g.n
+    return g.m == g.n - 1 and is_connected(g)
 
 
 def is_bipartite(g: ColouredGraph) -> bool:
-    side = [-1] * g.n
-    for start in range(g.n):
-        if side[start] != -1:
-            continue
-        side[start] = 0
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in g.adj[u]:
-                if side[w] == -1:
-                    side[w] = 1 - side[u]
-                    stack.append(w)
-                elif side[w] == side[u]:
-                    return False
-    return True
+    side = [0] * g.n
+    for comp in components(g.adj, range(g.n)):
+        for w, u in comp.items():
+            if u is not None:
+                side[w] = 1 - side[u]
+    return all(side[u] != side[w] for u in range(g.n) for w in g.adj[u])
 
 
 def is_split(g: ColouredGraph) -> bool:

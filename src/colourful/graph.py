@@ -10,9 +10,9 @@ whose removal leaves every connected component colourful.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from itertools import islice
+from typing import Container, Iterable, Iterator, Mapping, Sequence
 
 Edge = tuple[int, int]
 Partition = tuple[frozenset[int], ...]
@@ -93,31 +93,58 @@ class ColouredGraph:
         return ColouredGraph.build(len(vs), [self.colours[v] for v in vs], edges)
 
 
+def search(
+    adj: Sequence[Iterable[int]] | Mapping[int, Iterable[int]],
+    start: int,
+    allowed: Container[int] | None = None,
+) -> dict[int, int | None]:
+    """Breadth-first search from ``start`` over the neighbour lookup ``adj``
+    (a graph's adjacency, the tree of bags, ...), entering only vertices in
+    ``allowed`` when it is given.  Maps each reached vertex to the vertex it
+    was reached from (``None`` for ``start``), in visit order."""
+    reached: dict[int, int | None] = {start: None}
+    queue = [start]
+    for u in queue:
+        for v in adj[u]:
+            if v not in reached and (allowed is None or v in allowed):
+                reached[v] = u
+                queue.append(v)
+    return reached
+
+
+def components(
+    adj: Sequence[Iterable[int]] | Mapping[int, Iterable[int]],
+    starts: Iterable[int],
+    allowed: Container[int] | None = None,
+) -> list[dict[int, int | None]]:
+    """One ``search`` per start not reached by an earlier one, in order."""
+    seen: set[int] = set()
+    out = []
+    for s in starts:
+        if s not in seen:
+            comp = search(adj, s, allowed)
+            seen.update(comp)
+            out.append(comp)
+    return out
+
+
 def connected_components(g: ColouredGraph, forbidden_edges: EdgeSet | None = None) -> Partition:
     """Connected components of g (optionally with some edges removed),
     ordered by smallest contained vertex."""
-    skip = forbidden_edges or frozenset()
-    seen = [False] * g.n
-    out: list[frozenset[int]] = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        comp = []
-        queue = deque([s])
-        seen[s] = True
-        while queue:
-            u = queue.popleft()
-            comp.append(u)
-            for v in g.adj[u]:
-                if not seen[v] and norm_edge(u, v) not in skip:
-                    seen[v] = True
-                    queue.append(v)
-        out.append(frozenset(comp))
-    return tuple(out)
+    adj: Sequence[Iterable[int]] = g.adj
+    if forbidden_edges:
+        cut = list(g.adj)
+        for v in {x for e in forbidden_edges for x in e}:
+            cut[v] = set(cut[v])
+        for u, v in forbidden_edges:
+            cut[u].discard(v)
+            cut[v].discard(u)
+        adj = cut
+    return tuple(frozenset(comp) for comp in components(adj, range(g.n)))
 
 
 def is_connected(g: ColouredGraph) -> bool:
-    return g.n <= 1 or len(connected_components(g)) == 1
+    return g.n <= 1 or len(search(g.adj, 0)) == g.n
 
 
 def is_colourful_set(g: ColouredGraph, block: Iterable[int]) -> bool:
@@ -133,16 +160,7 @@ def is_colourful_set(g: ColouredGraph, block: Iterable[int]) -> bool:
 def induces_connected(g: ColouredGraph, block: frozenset[int]) -> bool:
     if not block:
         return False
-    start = next(iter(block))
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for v in g.adj[u]:
-            if v in block and v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return len(seen) == len(block)
+    return len(search(g.adj, next(iter(block)), block)) == len(block)
 
 
 def is_colourful_partition(g: ColouredGraph, partition: Sequence[frozenset[int]]) -> bool:
@@ -150,7 +168,7 @@ def is_colourful_partition(g: ColouredGraph, partition: Sequence[frozenset[int]]
     covered: set[int] = set()
     total = 0
     for block in partition:
-        if not block:
+        if not block or min(block) < 0 or max(block) >= g.n:
             return False
         total += len(block)
         covered |= block
@@ -170,7 +188,7 @@ def components_after_deletion(g: ColouredGraph, deleted: Iterable[Edge]) -> Part
     """Components of g after removing the given edges (normalized)."""
     f = frozenset(norm_edge(u, v) for u, v in deleted)
     for u, v in f:
-        if not g.has_edge(u, v):
+        if not (0 <= u < g.n and 0 <= v < g.n and g.has_edge(u, v)):
             raise ValueError(f"({u},{v}) is not an edge of the graph")
     return connected_components(g, f)
 
@@ -312,8 +330,8 @@ def parse_instance(text: str) -> ColouredGraph:
         else:
             raise ParseError(f"unknown line kind '{kind}'")
     if len(colours) != n:
-        missing = sorted(set(range(n)) - set(colours))
-        raise ParseError(f"vertices without colour: {missing}")
+        missing = list(islice((v for v in range(n) if v not in colours), 5))
+        raise ParseError(f"{n - len(colours)} vertices without colour, first {missing}")
     if len(edges) != m:
         raise ParseError(f"header claims {m} edges, found {len(edges)}")
     dense = normalize_colours([colours[v] for v in range(n)])

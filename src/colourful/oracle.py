@@ -427,7 +427,9 @@ def find_two_partition(
                 return False
         return True
 
-    def rec(idx: int) -> bool:
+    def enter(idx: int) -> int:
+        """Count a search node; the index of its branch vertex (g.n once
+        every vertex has a side)."""
         nonlocal nodes
         nodes += 1
         if nodes > node_cap:
@@ -436,20 +438,26 @@ def find_two_partition(
             )
         while idx < g.n and side[order[idx]] != -1:
             idx += 1
-        if idx == g.n:
-            return True
-        v = order[idx]
-        for s in (0, 1):
-            trail: list[int] = []
-            if assign(v, s, trail) and sides_feasible() and rec(idx + 1):
-                return True
-            undo(trail)
-        return False
+        return idx
 
-    trail: list[int] = []
-    assign(0, 0, trail)  # fixing the root's side halves the search space
-    if not sides_feasible() or not rec(0):
+    assign(0, 0, [])  # fixing the root's side halves the search space
+    if not sides_feasible():
         return None
+    # One (index, next side, trail) frame per branch vertex, so the depth
+    # of the search is not bounded by the recursion limit.  A frame's trail
+    # holds the assignments made by the side it tried last.
+    frames: list[tuple[int, int, list[int]]] = [(enter(0), 0, [])]
+    while frames[-1][0] < g.n:
+        idx, s, trail = frames.pop()
+        undo(trail)
+        if s == 2:
+            if not frames:
+                return None
+            continue
+        trail = []
+        frames.append((idx, s + 1, trail))
+        if assign(order[idx], s, trail) and sides_feasible():
+            frames.append((enter(idx + 1), 0, []))
     partition = canonical_partition(
         frozenset(_mask_vertices(m)) for m in masks if m
     )

@@ -8,7 +8,8 @@ import pytest
 import colourful
 from colourful.cli import main
 from colourful.gadgets import gen_example1
-from colourful.graph import parse_instance, serialize_instance
+from colourful.decomposition import TreeDecomposition, serialize_td
+from colourful.graph import ColouredGraph, parse_instance, serialize_instance
 
 FANO_ROW = "1 2 3 0\n"
 
@@ -184,6 +185,15 @@ def test_td_validate_rejects_mismatched_decomposition(tmp_path, capsys):
     assert code == 1 and "invalid" in err
 
 
+def test_td_validate_rejects_a_huge_bag_count_as_malformed(tmp_path, capsys):
+    inst = tmp_path / "p2.cg"
+    inst.write_text("cgraph 2 1\nv 0 1\nv 1 2\ne 0 1\n")
+    td_file = tmp_path / "huge.td"
+    td_file.write_text("td 99999999999999999999 0\n")
+    code, _, err = run(capsys, "td", "validate", inst, td_file)
+    assert code == 2 and "expected bags" in err
+
+
 def test_bench_manifest(example1_file, tmp_path, capsys):
     manifest = tmp_path / "m.tsv"
     manifest.write_text(
@@ -216,9 +226,7 @@ def test_bench_empty_manifest(tmp_path, capsys):
     ]
 
 
-def test_console_entry_point_runs(tmp_path):
-    path = tmp_path / "ex.cg"
-    path.write_text(serialize_instance(gen_example1(2)))
+def run_console(*argv, timeout=None):
     # the child must import the same `colourful` as this process, installed
     # or not
     src = str(Path(colourful.__file__).resolve().parent.parent)
@@ -226,9 +234,36 @@ def test_console_entry_point_runs(tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run(
-        [sys.executable, "-m", "colourful.cli", "solve", str(path)],
-        capture_output=True, text=True, env=env,
+    return subprocess.run(
+        [sys.executable, "-m", "colourful.cli", *map(str, argv)],
+        capture_output=True, text=True, env=env, timeout=timeout,
     )
+
+
+def test_console_entry_point_runs(tmp_path):
+    path = tmp_path / "ex.cg"
+    path.write_text(serialize_instance(gen_example1(2)))
+    proc = run_console("solve", path)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "partition 2"
+
+
+def test_solve_with_a_long_path_decomposition_validates_in_linear_time(tmp_path):
+    # both the supplied decomposition and its nice form are validated; each
+    # check used to take seconds per thousand bags on a path
+    n = 10_000
+    g = ColouredGraph.build(
+        n, [v % 3 + 1 for v in range(n)], [(v, v + 1) for v in range(n - 1)]
+    )
+    td = TreeDecomposition(
+        tuple(frozenset({v, v + 1}) for v in range(n - 1)),
+        tuple((v, v + 1) for v in range(n - 2)),
+    )
+    inst, td_file = tmp_path / "path.cg", tmp_path / "path.td"
+    inst.write_text(serialize_instance(g))
+    td_file.write_text(serialize_td(td))
+    proc = run_console(
+        "solve", "--problem", "components", "--td", td_file, inst, timeout=20
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[0] == "deletions 3333"

@@ -132,6 +132,20 @@ def test_validate_rejects_broken_decompositions():
     )
     with pytest.raises(ValueError):
         bad.validate(g)
+    # k - 1 edges, one repeated, leaving bag 1 unattached: every vertex's
+    # bags span one edge fewer than their number, so only the tree check
+    # catches it
+    bad = TreeDecomposition(
+        (frozenset({0, 1, 2}), frozenset(), frozenset()), ((0, 2), (2, 0))
+    )
+    with pytest.raises(ValueError, match="tree of bags is not connected"):
+        bad.validate(g)
+    # bag vertex out of range
+    bad = TreeDecomposition(
+        (frozenset({0, 1}), frozenset({1, 2, 3})), ((0, 1),)
+    )
+    with pytest.raises(ValueError, match="out of range"):
+        bad.validate(g)
 
 
 def test_td_text_round_trip():

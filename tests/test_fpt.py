@@ -16,7 +16,7 @@ from colourful.graph import (
     is_colourful_partition,
     is_valid_deletion_set,
 )
-from colourful.oracle import brute_min_deletions, brute_min_partition
+from colourful.oracle import brute_min_deletions, brute_min_partition, tree_min_deletions
 
 from helpers import (
     random_coloured_graph,
@@ -133,6 +133,20 @@ def test_dp_optima_add_over_disjoint_union(g, h):
     )
     (gp, gc), (hp, hc) = dp_optima(g), dp_optima(h)
     assert dp_optima(union) == (gp + hp, gc + hc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_tree_blocks_are_deletions_plus_one(data):
+    # Deleting d edges of a tree leaves d + 1 connected components, so a
+    # partition into k connected blocks is the same as k - 1 deletions.
+    n = data.draw(st.integers(1, 20))
+    edges = [(data.draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    colours = data.draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    g = ColouredGraph.build(n, tuple(colours), edges)
+    blocks = dp_partition(g, max_width=1).optimum
+    deletions = dp_components(g, max_width=1).optimum
+    assert blocks == deletions + 1 == tree_min_deletions(g) + 1
 
 
 # ---------------------------------------------------------------------------

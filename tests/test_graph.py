@@ -1,11 +1,13 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from colourful.decomposition import parse_td
 from colourful.graph import (
     ColouredGraph,
     ParseError,
     canonical_partition,
     colour_multiplicity,
+    components,
     components_after_deletion,
     connected_components,
     crossing_edges,
@@ -17,6 +19,7 @@ from colourful.graph import (
     normalize_colours,
     parse_instance,
     parse_solution,
+    search,
     serialize_instance,
     serialize_solution,
 )
@@ -87,6 +90,7 @@ def test_partition_validation_catches_each_failure_mode():
     assert not is_colourful_partition(g, (frozenset({0, 1}),))
     assert not is_colourful_partition(g, good + (frozenset({3}),))
     assert not is_colourful_partition(g, (frozenset(), *good))
+    assert not is_colourful_partition(g, (frozenset({0, 1}), frozenset({2, 3, 9})))
 
 
 def test_deletion_set_validation():
@@ -96,6 +100,7 @@ def test_deletion_set_validation():
     assert is_valid_deletion_set(g, {(1, 0)})  # orientation-insensitive
     assert not is_valid_deletion_set(g, set())
     assert not is_valid_deletion_set(g, {(0, 2)})  # not an edge
+    assert not is_valid_deletion_set(g, {(5, 7)})  # out of range
     comps = components_after_deletion(g, {(0, 1)})
     assert sorted(map(sorted, comps)) == [[0], [1, 2]]
 
@@ -124,6 +129,48 @@ def test_instance_round_trip(g):
     assert normalize_colours(again.colours) == normalize_colours(g.colours)
 
 
+def union_find_classes(n, edges):
+    root = list(range(n))
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for u, v in edges:
+        root[find(u)] = find(v)
+    classes = {}
+    for v in range(n):
+        classes.setdefault(find(v), set()).add(v)
+    return canonical_partition(classes.values())
+
+
+@given(coloured_graphs(max_n=10), st.data())
+def test_search_and_components_match_union_find(g, data):
+    edges = g.edges()
+    forbidden = frozenset(data.draw(st.sets(st.sampled_from(edges))) if edges else ())
+    kept = [e for e in edges if e not in forbidden]
+    assert connected_components(g, forbidden) == union_find_classes(g.n, kept)
+    full = union_find_classes(g.n, edges)
+    assert [frozenset(c) for c in components(g.adj, range(g.n))] == list(full)
+    allowed = data.draw(st.sets(st.integers(0, max(g.n - 1, 0))))
+    inside = union_find_classes(
+        g.n, [(u, v) for u, v in edges if u in allowed and v in allowed]
+    )
+    for s in range(g.n):
+        reached = search(g.adj, s)
+        assert set(reached) == next(c for c in full if s in c)
+        order = list(reached)
+        assert order[0] == s and reached[s] is None
+        depth = {s: 0}
+        for v in order[1:]:  # breadth-first: parents first, depths never drop
+            assert g.has_edge(v, reached[v]) and reached[v] in depth
+            depth[v] = depth[reached[v]] + 1
+        assert [depth[v] for v in order] == sorted(depth.values())
+        if s in allowed:
+            assert set(search(g.adj, s, allowed)) == next(c for c in inside if s in c)
+
+
 @given(coloured_graphs(max_n=6))
 def test_components_partition_the_vertices(g):
     comps = connected_components(g)
@@ -142,6 +189,35 @@ def test_parse_instance_errors():
         parse_instance("cgraph 2 0\nv 0 1\nv 1 1\ne 0 1\n")  # edge count lies
     with pytest.raises(ParseError):
         parse_instance("cgraph 1 0\nv 0 1\nwhat 3\n")
+
+
+def test_parse_instance_reports_a_few_missing_vertices():
+    with pytest.raises(ParseError) as err:
+        parse_instance("cgraph 1000000 0\nv 1 1\n")
+    assert len(str(err.value)) < 100
+    assert "[0, 2, 3, 4, 5]" in str(err.value)
+
+
+_TOKENS = st.sampled_from(
+    ["cgraph", "v", "e", "td", "bag", "te", "partition", "block", "deletions",
+     "x", "#"]
+) | st.integers(-2, 12).map(str)
+_LINES = st.lists(_TOKENS, max_size=5).map(" ".join)
+_HEADERS = st.tuples(
+    st.sampled_from(["cgraph", "td", "partition", "deletions"]), _TOKENS, _TOKENS
+).map(" ".join)
+
+
+@given(st.tuples(_HEADERS | _LINES, st.lists(_LINES, max_size=8)).map(
+    lambda t: "\n".join([t[0], *t[1]])
+))
+@example("td 99999999999999999999 0\n")
+def test_parsers_raise_only_parse_errors(text):
+    for parse in (parse_instance, parse_solution, parse_td):
+        try:
+            parse(text)
+        except ParseError:
+            pass
 
 
 def test_parse_instance_accepts_comments_and_blank_lines():

@@ -98,6 +98,20 @@ def test_find_two_partition_matches_brute():
     assert agree > 50  # the regime must actually exercise the yes side
 
 
+def test_find_two_partition_searches_deeper_than_the_recursion_limit():
+    # A 3 x 700 grid: vertex 3c + r sits in column c, row r, and shares its
+    # colour with the vertex 350 columns on, so the left and right halves
+    # are the two blocks.  The search branches on about 1000 vertices.
+    cols = 700
+    n = 3 * cols
+    edges = [(v, v + 1) for v in range(n) if v % 3 != 2]
+    edges += [(v, v + 3) for v in range(n - 3)]
+    g = ColouredGraph.build(n, tuple(v % (n // 2) + 1 for v in range(n)), edges)
+    part = find_two_partition(g)
+    assert part is not None and len(part) == 2
+    assert is_colourful_partition(g, part)
+
+
 def test_mask_reach_matches_set_bfs():
     rng = random.Random(9)
     for _ in range(300):
