@@ -365,19 +365,29 @@ def to_nice(td: TreeDecomposition, g: ColouredGraph) -> NiceTreeDecomposition:
             tuple(bags), tuple(kind), tuple(children), tuple(delta), root
         )
 
+    def kids(i: int, parent: int | None) -> list[int]:
+        """The children of td node i, ordered by the sorted colours they
+        forget on the way up to i, then by id: same-coloured twins sit next
+        to each other and are joined close together, so the DP can drop
+        their colour soon after."""
+        return sorted(
+            nb[i] - {parent},
+            key=lambda j: (sorted(g.colours[v] for v in td.bags[j] - td.bags[i]), j),
+        )
+
     # Depth-first over the td tree with an explicit stack.  A frame holds a
-    # td node, its children in sorted order and the tops built so far, one
+    # td node, its children in `kids` order and the tops built so far, one
     # per finished child (chained to the node's bag); a node's top is its
     # leaf chain, or the joins of its children's tops.
-    frames = [(0, sorted(nb[0]), [])]
+    frames = [(0, kids(0, None), [])]
     while True:
-        i, kids, tops = frames[-1]
-        if len(tops) < len(kids):
-            j = kids[len(tops)]
-            frames.append((j, sorted(nb[j] - {i}), []))
+        i, todo, tops = frames[-1]
+        if len(tops) < len(todo):
+            j = todo[len(tops)]
+            frames.append((j, kids(j, i), []))
             continue
         frames.pop()
-        if kids:
+        if todo:
             while len(tops) > 1:
                 b = tops.pop()
                 a = tops.pop()
@@ -523,8 +533,13 @@ def normalize_for_2cp(
     def tree_component(start: int, removed: int | None) -> dict[int, int | None]:
         """The nodes still linked to start once removed leaves the tree, each
         mapped to the node it was reached from; with removed the parent of
-        start, this is the subtree of start."""
-        return search(adj, start, bags.keys() - {removed})
+        start, this is the subtree of start.  The search enters only nodes
+        of adj, so removed leaves adj while it runs."""
+        links = adj.pop(removed, None)
+        reached = search(adj, start, adj)
+        if links is not None:
+            adj[removed] = links
+        return reached
 
     def fix_duplicates() -> bool:
         by_bag: dict[frozenset[int], int] = {}

@@ -6,8 +6,9 @@ colour is not unique.
 
 from __future__ import annotations
 
+from bisect import insort
 from itertools import combinations
-from typing import Callable, Collection, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .decomposition import NiceTreeDecomposition, exact_tree_decomposition, to_nice
 from .graph import (
@@ -28,26 +29,146 @@ from .polysolvers import hopcroft_karp
 # ---------------------------------------------------------------------------
 # One DP over nice tree decompositions, parameterized by treewidth + number
 # of colours.  A state is a Key; each problem supplies how a vertex is
-# introduced and how two subtrees are joined, and forgetting is shared.
+# introduced, how two subtrees are joined and how a key drops the colours
+# that die at a node, and forgetting is shared.
 # ---------------------------------------------------------------------------
 
-# A DP key pairs a partition of the bag with, per part, the colours of the
-# already-forgotten vertices absorbed into that part's class.
-Key = tuple[tuple[frozenset[int], ...], tuple[frozenset[int], ...]]
+# A DP key is a sorted tuple of (part, forgotten) pairs of int bitmasks: a
+# part of the bag over vertex ids, and the colours of the already-forgotten
+# vertices absorbed into that part's class over colour ranks.  Bits above
+# the ranks are labels that stand for dead colours (`_partition_project`).
+# Parts are disjoint, so a key is ordered by its part masks.
+Key = tuple[tuple[int, int], ...]
 Table = dict[Key, int]  # the least value found per key
 
-EMPTY_KEY: Key = ((), ())
+EMPTY_KEY: Key = ()
 
 # A step maps a whole child table to (key, value, back-pointer) moves.  The
 # back-pointers are ("l",) at a leaf, ("i", child key, indices of the child
 # parts merged with the new vertex), ("f", child key, index of the forgotten
 # vertex's part) and ("j", left key, right key).
 Moves = Iterable[tuple[Key, int, tuple]]
+# Per component of the graph, the mask of the colours that die at a node.
+Dying = dict[int, int]
 
 
-def _canon(blocks: Sequence[frozenset[int]], rhos: Sequence[frozenset[int]]) -> Key:
-    order = sorted(range(len(blocks)), key=lambda i: min(blocks[i]))
-    return tuple(blocks[i] for i in order), tuple(rhos[i] for i in order)
+def _find(link: list[int], x: int) -> int:
+    """The root of x in a union-find forest of parent links, compressing
+    the path to it."""
+    root = x
+    while link[root] != root:
+        root = link[root]
+    while link[x] != root:
+        link[x], x = root, link[x]
+    return root
+
+
+def _members(mask: int) -> Iterator[int]:
+    """The vertex ids of a part mask."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class _Bits:
+    """The bit tables of one DP run.  Colours are remapped to dense ranks,
+    so forgotten-colour masks stay small whatever the colour ids.  Per
+    vertex: its colour bit, its neighbour mask and its connected component;
+    per bag block, its colour mask; per node, the colours dying there."""
+
+    def __init__(
+        self, g: ColouredGraph, nice: NiceTreeDecomposition, order: list[int]
+    ) -> None:
+        rank = {c: i for i, c in enumerate(sorted(set(g.colours)))}
+        self.ncol = len(rank)
+        self.live = (1 << self.ncol) - 1
+        self.colour = [1 << rank[c] for c in g.colours]
+        self.nbrs = [sum(1 << w for w in adj) for adj in g.adj]
+        self.comp = [0] * g.n
+        for i, cls in enumerate(connected_components(g)):
+            for v in cls:
+                self.comp[v] = i
+        # A label names a set of part indices, and a key has at most one
+        # part per bag vertex, so labels fit in this many bits.
+        self.label_span = 1 << max(map(len, nice.bags))
+        self.dying = self._dying(nice, order)
+        self._colours: dict[int, int] = {}
+        self._plans: dict[tuple[tuple[int, ...], tuple[int, ...]], list | None] = {}
+
+    def component(self, part: int) -> int:
+        return self.comp[(part & -part).bit_length() - 1]
+
+    def colours(self, part: int) -> int:
+        """The colour mask of a bag block, or -1 if it is not colourful."""
+        mask = self._colours.get(part)
+        if mask is None:
+            mask = 0
+            for u in _members(part):
+                if mask & self.colour[u]:
+                    mask = -1
+                    break
+                mask |= self.colour[u]
+            self._colours[part] = mask
+        return mask
+
+    def glue_plan(
+        self, lparts: tuple[int, ...], rparts: tuple[int, ...]
+    ) -> list[tuple[int, int, list[int]]] | None:
+        """The mutual coarsening of two partitions of one bag, given as part
+        masks: per merged part, in key order, its mask, its colour mask and
+        the indices of the parts it swallows (right ones numbered after the
+        left ones); None if a merged part is not colourful."""
+        pair = (lparts, rparts)
+        if pair not in self._plans:
+            groups = [(part, [i]) for i, part in enumerate(lparts)]
+            for j, rpart in enumerate(rparts, len(lparts)):
+                hit = [grp for grp in groups if grp[0] & rpart]
+                groups = [grp for grp in groups if not grp[0] & rpart]
+                groups.append((
+                    rpart | sum(part for part, _ in hit),
+                    [i for _, picks in hit for i in picks] + [j],
+                ))
+            groups.sort()
+            plan = [(part, self.colours(part), picks) for part, picks in groups]
+            self._plans[pair] = plan if all(m >= 0 for _, m, _ in plan) else None
+        return self._plans[pair]
+
+    def _dying(
+        self, nice: NiceTreeDecomposition, order: list[int]
+    ) -> dict[int, Dying]:
+        """A colour dies in a component at the lowest common ancestor of the
+        forget nodes of its vertices there, which is that of the first and
+        the last of them in postorder.  One postorder pass finds it: a
+        union-find links each node to its parent once the parent is reached,
+        so a finished node's set is rooted at its highest finished ancestor
+        h, and the ancestor it shares with the current node is that node
+        itself if h is it, and otherwise the parent of h."""
+        up = [-1] * len(nice.bags)
+        for node, kids in enumerate(nice.children):
+            for child in kids:
+                up[child] = node
+        link = list(range(len(nice.bags)))
+        left: dict[tuple[int, int], int] = {}
+        for v, comp in enumerate(self.comp):
+            pair = (comp, self.colour[v])
+            left[pair] = left.get(pair, 0) + 1
+        first: dict[tuple[int, int], int] = {}
+        dying: dict[int, Dying] = {}
+        for node in order:
+            for child in nice.children[node]:
+                link[child] = node
+            if nice.kind[node] != "forget":
+                continue
+            v = nice.delta[node]
+            pair = (self.comp[v], self.colour[v])
+            first.setdefault(pair, node)
+            left[pair] -= 1
+            if left[pair] == 0:
+                top = _find(link, first[pair])
+                at = dying.setdefault(node if top == node else up[top], {})
+                at[pair[0]] = at.get(pair[0], 0) | pair[1]
+        return dying
 
 
 def _default_nice(
@@ -62,165 +183,100 @@ def _default_nice(
     return to_nice(td, g)
 
 
-def _disjoint(*collections: Collection[int]) -> bool:
-    """True iff no element occurs twice, within or across the collections."""
-    return sum(map(len, collections)) == len(set().union(*collections))
-
-
 def _tree_dp(
     g: ColouredGraph,
     nice: NiceTreeDecomposition,
-    introduce: Callable[[ColouredGraph, int, frozenset[int], Table], Moves],
-    join: Callable[[ColouredGraph, frozenset[int], Table, Table], Moves],
+    introduce: Callable[[_Bits, int, int, Table], Moves],
+    join: Callable[[_Bits, int, Table, Table], Moves],
+    project: Callable[[_Bits, Key, Dying | None], Key],
 ) -> tuple[int, dict[int, dict[Key, tuple]], int]:
     """Bottom-up minimisation over the nice decomposition: each node keeps,
     per key, the least value of the moves reaching it and the first move
-    attaining it.  Returns the root value, the back-pointer tables and the
-    size of the largest table."""
+    attaining it.  Keys are projected where colours die, and wherever a
+    child table holds labels, whose holders' indices may have moved.  Bags
+    are passed to the steps as vertex masks.  Returns the root value, the
+    back-pointer tables and the size of the largest table."""
+    order = nice.postorder()
+    bits = _Bits(g, nice, order)
     tables: dict[int, Table] = {}
+    bags: dict[int, int] = {}
+    labelled: set[int] = set()  # nodes whose table holds label bits
     backs: dict[int, dict[Key, tuple]] = {}
     max_table = 0
-    for node in nice.postorder():
+    for node in order:
         kind = nice.kind[node]
-        bag = nice.bags[node]
+        kids = nice.children[node]
         if kind == "leaf":
+            bag = 0
             moves: Moves = [(EMPTY_KEY, 0, ("l",))]
         elif kind == "join":
-            left, right = nice.children[node]
-            moves = join(g, bag, tables.pop(left), tables.pop(right))
+            bag = bags.pop(kids[0])
+            del bags[kids[1]]
+            moves = join(bits, bag, tables.pop(kids[0]), tables.pop(kids[1]))
         else:
-            (child,) = nice.children[node]
+            v = nice.delta[node]
+            bag = bags.pop(kids[0]) ^ 1 << v
             step = introduce if kind == "introduce" else _forget
-            moves = step(g, nice.delta[node], bag, tables.pop(child))
+            moves = step(bits, v, bag, tables.pop(kids[0]))
+        dying = bits.dying.get(node)
+        projected = dying is not None or not labelled.isdisjoint(kids)
+        if projected:
+            moves = ((project(bits, key, dying), val, info) for key, val, info in moves)
         table: Table = {}
         back: dict[Key, tuple] = {}
         for key, val, info in moves:
             if key not in table or val < table[key]:
                 table[key] = val
                 back[key] = info
+        if projected and any(rho > bits.live for key in table for _, rho in key):
+            labelled.add(node)
         tables[node] = table
+        bags[node] = bag
         backs[node] = back
         max_table = max(max_table, len(table))
     return tables[nice.root][EMPTY_KEY], backs, max_table
 
 
-def _forget(
-    g: ColouredGraph, v: int, bag: frozenset[int], table: Table
-) -> Moves:
+def _forget(bits: _Bits, v: int, bag: int, table: Table) -> Moves:
     """Drop v from its part: a part left empty closes its class, any other
     part adds v's colour to its forgotten colours."""
+    vbit = 1 << v
     for ckey, cval in table.items():
-        blocks, rhos = ckey
-        idx = next(i for i, blk in enumerate(blocks) if v in blk)
-        if blocks[idx] == frozenset({v}):
-            key = _canon(
-                [b for i, b in enumerate(blocks) if i != idx],
-                [p for i, p in enumerate(rhos) if i != idx],
-            )
-        else:
-            new_blocks = list(blocks)
-            new_rhos = list(rhos)
-            new_blocks[idx] = blocks[idx] - {v}
-            new_rhos[idx] = rhos[idx] | {g.colours[v]}
-            key = _canon(new_blocks, new_rhos)
-        yield key, cval, ("f", ckey, idx)
-
-
-def _coarsen(
-    lkey: Key, rkey: Key
-) -> tuple[list[tuple[list[int], list[int]]], list[frozenset[int]]]:
-    """Mutual coarsening of two bag partitions: per merged part, the indices
-    of the left and right parts it swallows, plus its vertex set.  Parts are
-    ordered by minimum vertex."""
-    lblocks, rblocks = lkey[0], rkey[0]
-    owner: dict[int, int] = {}
-    for i, blk in enumerate(lblocks):
-        for u in blk:
-            owner[u] = i
-    parent = list(range(len(lblocks)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for blk in rblocks:
-        it = iter(sorted(blk))
-        first = owner[next(it)]
-        for u in it:
-            a, b = find(first), find(owner[u])
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-    groups: dict[int, tuple[list[int], list[int]]] = {}
-    for i in range(len(lblocks)):
-        groups.setdefault(find(i), ([], []))[0].append(i)
-    for j, blk in enumerate(rblocks):
-        groups[find(owner[min(blk)])][1].append(j)
-    ordered = sorted(
-        groups.values(), key=lambda lr: min(min(lblocks[i]) for i in lr[0])
-    )
-    vertex_sets = [
-        frozenset().union(*(lblocks[i] for i in lr[0])) for lr in ordered
-    ]
-    return ordered, vertex_sets
+        idx = next(i for i, (part, _) in enumerate(ckey) if part & vbit)
+        part, rho = ckey[idx]
+        key = list(ckey)
+        del key[idx]
+        if part != vbit:
+            insort(key, (part ^ vbit, rho | bits.colour[v]))
+        yield tuple(key), cval, ("f", ckey, idx)
 
 
 def _replay(
-    nice: NiceTreeDecomposition, backs: dict[int, dict[Key, tuple]]
+    nice: NiceTreeDecomposition, backs: dict[int, dict[Key, tuple]], n: int
 ) -> list[frozenset[int]]:
     """The classes of an optimal solution.  Follow the back-pointers down
-    from the root's empty key, then rebuild bottom-up, per part of each
-    chosen key, the vertices its class holds so far; a class is closed when
-    its last bag vertex is forgotten.  Joins pair parts as `_coarsen` does,
-    which for two equal bag partitions pairs part i with part i."""
+    from the root's empty key; each chosen introduce puts its vertex in one
+    class with a vertex of every part it merged, in a union-find over the
+    vertices.  Nothing else is needed: the vertices of a part already share
+    a class, and the parts a join glues share a bag vertex."""
+    link = list(range(n))
     chosen: dict[int, Key] = {nice.root: EMPTY_KEY}
     stack = [nice.root]
-    topdown = []
     while stack:
         node = stack.pop()
-        topdown.append(node)
         info = backs[node][chosen[node]]
+        if info[0] == "i":
+            v = _find(link, nice.delta[node])
+            for i in info[2]:
+                part = info[1][i][0]
+                link[_find(link, (part & -part).bit_length() - 1)] = v
         for child, ckey in zip(nice.children[node], info[1:]):
             chosen[child] = ckey
             stack.append(child)
-    live: dict[int, list[frozenset[int]]] = {}
-    closed: list[frozenset[int]] = []
-    for node in reversed(topdown):
-        info = backs[node][chosen[node]]
-        if info[0] == "l":
-            live[node] = []
-        elif info[0] == "j":
-            left, right = nice.children[node]
-            lparts, rparts = live.pop(left), live.pop(right)
-            groups, _ = _coarsen(info[1], info[2])
-            live[node] = [
-                frozenset().union(
-                    *(lparts[i] for i in lidx), *(rparts[j] for j in ridx)
-                )
-                for lidx, ridx in groups
-            ]
-        else:
-            (child,) = nice.children[node]
-            _, ckey, pick = info
-            v = nice.delta[node]
-            blocks, parts = list(ckey[0]), live.pop(child)
-            if info[0] == "i":
-                blocks = [b for i, b in enumerate(blocks) if i not in pick] + [
-                    frozenset({v}).union(*(blocks[i] for i in pick))
-                ]
-                parts = [p for i, p in enumerate(parts) if i not in pick] + [
-                    frozenset({v}).union(*(parts[i] for i in pick))
-                ]
-            elif blocks[pick] == frozenset({v}):
-                closed.append(parts.pop(pick))
-                del blocks[pick]
-            else:
-                blocks[pick] = blocks[pick] - {v}
-            order = sorted(range(len(blocks)), key=lambda i: min(blocks[i]))
-            live[node] = [parts[i] for i in order]
-    assert not live[nice.root]
-    return closed
+    classes: dict[int, set[int]] = {}
+    for u in range(n):
+        classes.setdefault(_find(link, u), set()).add(u)
+    return [frozenset(cls) for cls in classes.values()]
 
 
 # ---------------------------------------------------------------------------
@@ -228,52 +284,97 @@ def _replay(
 # ---------------------------------------------------------------------------
 
 
-def _partition_introduce(
-    g: ColouredGraph, v: int, bag: frozenset[int], table: Table
-) -> Moves:
+def _glue(mask: int, rhos: Sequence[int], picks: Iterable[int]) -> int:
+    """The forgotten colours of the parts `picks` of `rhos` merged into a
+    block of colour mask `mask`, or -1 if a colour or label would repeat."""
+    acc = mask
+    for i in picks:
+        if acc & rhos[i]:
+            return -1
+        acc |= rhos[i]
+    return acc ^ mask
+
+
+def _partition_introduce(bits: _Bits, v: int, bag: int, table: Table) -> Moves:
     """v opens a part that swallows any set of parts adjacent to it, as long
     as the merged class stays colourful; the value counts parts opened."""
+    vbit, nbrs = 1 << v, bits.nbrs[v]
     for ckey, cval in table.items():
-        blocks, rhos = ckey
-        candidates = [
-            i for i, blk in enumerate(blocks) if any(w in g.adj[v] for w in blk)
-        ]
+        rhos = [rho for _, rho in ckey]
+        candidates = [i for i, (part, _) in enumerate(ckey) if part & nbrs]
         for r in range(len(candidates) + 1):
             for rset in combinations(candidates, r):
-                merged = {v} | frozenset().union(*(blocks[i] for i in rset))
-                if not _disjoint(
-                    [g.colours[u] for u in merged], *(rhos[i] for i in rset)
-                ):
+                merged = vbit | sum(ckey[i][0] for i in rset)
+                mask = bits.colours(merged)
+                rho = _glue(mask, rhos, rset) if mask >= 0 else -1
+                if rho < 0:
                     continue
-                new_blocks = [b for i, b in enumerate(blocks) if i not in rset]
-                new_rhos = [p for i, p in enumerate(rhos) if i not in rset]
-                new_blocks.append(frozenset(merged))
-                new_rhos.append(frozenset().union(*(rhos[i] for i in rset)))
-                key = _canon(new_blocks, new_rhos)
-                yield key, cval + 1 - len(rset), ("i", ckey, rset)
+                key = [p for i, p in enumerate(ckey) if i not in rset]
+                insort(key, (merged, rho))
+                yield tuple(key), cval + 1 - r, ("i", ckey, rset)
 
 
-def _partition_join(
-    g: ColouredGraph, bag: frozenset[int], left: Table, right: Table
-) -> Moves:
-    """Glue every pair of states along their mutual coarsening, as long as
-    each glued class stays colourful; parts shared by both sides were
-    counted twice."""
-    for lkey, lval in left.items():
-        for rkey, rval in right.items():
-            groups, vertex_sets = _coarsen(lkey, rkey)
-            new_blocks: list[frozenset[int]] = []
-            new_rhos: list[frozenset[int]] = []
-            for (lidx, ridx), merged in zip(groups, vertex_sets):
-                rhos = [lkey[1][i] for i in lidx] + [rkey[1][j] for j in ridx]
-                if not _disjoint([g.colours[u] for u in merged], *rhos):
-                    break
-                new_blocks.append(merged)
-                new_rhos.append(frozenset().union(*rhos))
-            else:
-                key = _canon(new_blocks, new_rhos)
-                delta = len(key[0]) - len(lkey[0]) - len(rkey[0])
-                yield key, lval + rval + delta, ("j", lkey, rkey)
+def _partition_join(bits: _Bits, bag: int, left: Table, right: Table) -> Moves:
+    """Glue every pair of states along the mutual coarsening of their bag
+    partitions, as long as each glued class stays colourful; parts shared
+    by both sides were counted twice.  The right side's labels are moved
+    above the left side's, so that labels of the two sides never clash."""
+    shift = bits.label_span
+
+    def by_parts(table: Table, labels_up: bool) -> dict[tuple[int, ...], list]:
+        out: dict[tuple[int, ...], list] = {}
+        for key, val in table.items():
+            rhos = tuple(
+                rho if rho <= bits.live or not labels_up
+                else rho & bits.live | (rho >> bits.ncol << bits.ncol + shift)
+                for _, rho in key
+            )
+            out.setdefault(tuple(p for p, _ in key), []).append((key, val, rhos))
+        return out
+
+    rights = by_parts(right, True)
+    for lparts, lstates in by_parts(left, False).items():
+        for rparts, rstates in rights.items():
+            plan = bits.glue_plan(lparts, rparts)
+            if plan is None:
+                continue
+            delta = len(plan) - len(lparts) - len(rparts)
+            for lkey, lval, lrhos in lstates:
+                for rkey, rval, rrhos in rstates:
+                    rhos = lrhos + rrhos
+                    key = tuple(
+                        (part, _glue(mask, rhos, picks)) for part, mask, picks in plan
+                    )
+                    if all(rho >= 0 for _, rho in key):
+                        yield key, lval + rval + delta, ("j", lkey, rkey)
+
+
+def _partition_project(bits: _Bits, key: Key, dying: Dying | None) -> Key:
+    """Parts can still merge, so a dead colour held by two or more parts
+    still forbids merging them.  Where one part holds it, drop it;
+    otherwise replace it by the label of its set of holders, bit
+    `ncol + (mask of their indices)`, so dead colours held by the same parts
+    collapse into one label.  Labels already in the key are renamed the same
+    way, since the indices of their holders may have moved."""
+    live = bits.live
+    if not dying and all(rho <= live for _, rho in key):
+        return key
+    holders: dict[int, int] = {}
+    out = []
+    for i, (part, rho) in enumerate(key):
+        dead = rho & dying.get(bits.component(part), 0) if dying else 0
+        tags = rho & ~live | dead
+        while tags:
+            low = tags & -tags
+            holders[low] = holders.get(low, 0) | 1 << i
+            tags ^= low
+        out.append([part, rho & live & ~dead])
+    for held in set(holders.values()):
+        if held & (held - 1):
+            label = 1 << (bits.ncol + held)
+            for i in _members(held):
+                out[i][1] |= label
+    return tuple(map(tuple, out))
 
 
 def dp_partition(
@@ -286,9 +387,9 @@ def dp_partition(
     colours per part; the value counts the parts opened so far."""
     nice = _default_nice(g, nice, max_width)
     optimum, backs, max_table = _tree_dp(
-        g, nice, _partition_introduce, _partition_join
+        g, nice, _partition_introduce, _partition_join, _partition_project
     )
-    witness = canonical_partition(_replay(nice, backs))
+    witness = canonical_partition(_replay(nice, backs, g.n))
     assert len(witness) == optimum and is_colourful_partition(g, witness)
     stats = {"nodes": len(nice.bags), "max_table": max_table}
     return SolveResult("partition", optimum, witness, "treewidth-dp", stats)
@@ -300,49 +401,56 @@ def dp_partition(
 # ---------------------------------------------------------------------------
 
 
-def _components_introduce(
-    g: ColouredGraph, v: int, bag: frozenset[int], table: Table
-) -> Moves:
-    """v joins one class that lacks its colour, or opens a new class; each
-    edge from v to another class in the bag is deleted."""
-    colour = g.colours[v]
-    bag_nbrs = g.adj[v] & bag
+def _components_introduce(bits: _Bits, v: int, bag: int, table: Table) -> Moves:
+    """v joins one class of its component of the graph that lacks its
+    colour, or opens a new class; each edge from v to another class in the
+    bag is deleted.  Splitting a class along the components of the graph
+    never costs a deletion, so classes stay inside one component."""
+    vbit, colour, comp = 1 << v, bits.colour[v], bits.comp[v]
+    bag_nbrs = bits.nbrs[v] & bag
     for ckey, cval in table.items():
-        blocks, rhos = ckey
-        for i, blk in enumerate(blocks):
-            if colour in rhos[i] or any(g.colours[u] == colour for u in blk):
+        for i, (part, rho) in enumerate(ckey):
+            if (rho | bits.colours(part)) & colour or bits.component(part) != comp:
                 continue
-            new_blocks = list(blocks)
-            new_blocks[i] = blk | {v}
-            key = _canon(new_blocks, rhos)
-            yield key, cval + len(bag_nbrs - blk), ("i", ckey, (i,))
-        key = _canon(list(blocks) + [frozenset({v})], list(rhos) + [frozenset()])
-        yield key, cval + len(bag_nbrs), ("i", ckey, ())
+            key = list(ckey)
+            del key[i]
+            insort(key, (part | vbit, rho))
+            yield tuple(key), cval + (bag_nbrs & ~part).bit_count(), ("i", ckey, (i,))
+        key = list(ckey)
+        insort(key, (vbit, 0))
+        yield tuple(key), cval + bag_nbrs.bit_count(), ("i", ckey, ())
 
 
-def _components_join(
-    g: ColouredGraph, bag: frozenset[int], left: Table, right: Table
-) -> Moves:
+def _components_join(bits: _Bits, bag: int, left: Table, right: Table) -> Moves:
     """Glue states with the same bag partition whose classes forgot disjoint
     colours; deleted edges inside the bag were counted on both sides."""
-    by_p: dict[tuple[frozenset[int], ...], list[Key]] = {}
-    for rkey in right:
-        by_p.setdefault(rkey[0], []).append(rkey)
-    bag_edges = [
-        (u, w)
-        for u in sorted(bag)
-        for w in sorted(bag)
-        if u < w and g.has_edge(u, w)
-    ]
+    by_parts: dict[tuple[int, ...], list[tuple[Key, int]]] = {}
+    for rkey, rval in right.items():
+        by_parts.setdefault(tuple(p for p, _ in rkey), []).append((rkey, rval))
+    cut: dict[tuple[int, ...], int] = {}
     for lkey, lval in left.items():
-        blocks = lkey[0]
-        part_of = {u: i for i, blk in enumerate(blocks) for u in blk}
-        e_p = sum(1 for u, w in bag_edges if part_of[u] != part_of[w])
-        for rkey in by_p.get(blocks, ()):
-            if any(a & b for a, b in zip(lkey[1], rkey[1])):
+        parts = tuple(p for p, _ in lkey)
+        if parts not in cut:
+            cut[parts] = sum(
+                (bits.nbrs[u] & bag & ~part).bit_count()
+                for part in parts
+                for u in _members(part)
+            ) // 2
+        for rkey, rval in by_parts.get(parts, ()):
+            if any(a & b for (_, a), (_, b) in zip(lkey, rkey)):
                 continue
-            rhos = tuple(a | b for a, b in zip(lkey[1], rkey[1]))
-            yield (blocks, rhos), lval + right[rkey] - e_p, ("j", lkey, rkey)
+            key = tuple((part, a | b) for (part, a), (_, b) in zip(lkey, rkey))
+            yield key, lval + rval - cut[parts], ("j", lkey, rkey)
+
+
+def _components_project(bits: _Bits, key: Key, dying: Dying | None) -> Key:
+    """Classes never merge, so a dead colour leaves every part of its
+    component."""
+    if not dying:
+        return key
+    return tuple(
+        (part, rho & ~dying.get(bits.component(part), 0)) for part, rho in key
+    )
 
 
 def dp_components(
@@ -356,9 +464,9 @@ def dp_components(
     edges whose endpoints land in different classes."""
     nice = _default_nice(g, nice, max_width)
     optimum, backs, max_table = _tree_dp(
-        g, nice, _components_introduce, _components_join
+        g, nice, _components_introduce, _components_join, _components_project
     )
-    class_of = {u: i for i, cls in enumerate(_replay(nice, backs)) for u in cls}
+    class_of = {u: i for i, cls in enumerate(_replay(nice, backs, g.n)) for u in cls}
     deleted = frozenset(
         norm_edge(u, v) for u, v in g.edges() if class_of[u] != class_of[v]
     )

@@ -3,13 +3,18 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from colourful.decomposition import exact_tree_decomposition, to_nice
+from colourful.decomposition import (
+    NiceTreeDecomposition,
+    exact_tree_decomposition,
+    to_nice,
+)
 from colourful.fpt import (
     dp_components,
     dp_partition,
     solve_partition_nonunique,
     solve_partition_vc,
 )
+from colourful.gadgets import gen_example1
 from colourful.graph import (
     ColouredGraph,
     UnsupportedInstanceError,
@@ -147,6 +152,146 @@ def test_tree_blocks_are_deletions_plus_one(data):
     blocks = dp_partition(g, max_width=1).optimum
     deletions = dp_components(g, max_width=1).optimum
     assert blocks == deletions + 1 == tree_min_deletions(g) + 1
+
+
+def nice_from_steps(steps):
+    """A nice decomposition from (kind, children, vertex) rows in postorder,
+    bags derived bottom-up; the last row is the root."""
+    bags = []
+    for kind, kids, v in steps:
+        bag = bags[kids[0]] if kids else frozenset()
+        if kind == "introduce":
+            bag = bag | {v}
+        elif kind == "forget":
+            bag = bag - {v}
+        bags.append(bag)
+    return NiceTreeDecomposition(
+        tuple(bags),
+        tuple(kind for kind, _, _ in steps),
+        tuple(tuple(kids) for _, kids, _ in steps),
+        tuple(v for _, _, v in steps),
+        len(steps) - 1,
+    )
+
+
+def chain(steps, moves, below=None):
+    """Append (kind, vertex) rows to steps, each on top of the one before,
+    the first on top of row `below` (none for a leaf); returns the top."""
+    for kind, v in moves:
+        steps.append((kind, () if below is None else (below,), v))
+        below = len(steps) - 1
+    return below
+
+
+def test_dead_colour_shared_by_two_parts_still_forbids_merging_them():
+    # The path p-s-z-t-q with p and q coloured 1.  p is forgotten into s's
+    # part and q into t's part in two subtrees, so colour 1 dies at their
+    # join while both parts hold it; z, introduced later, is adjacent to
+    # both.  Merging s, z and t would put p and q in one block.
+    p, s, z, t, q = range(5)
+    g = ColouredGraph.build(5, (1, 2, 3, 4, 1), [(p, s), (s, z), (z, t), (t, q)])
+    steps = []
+    left = chain(steps, [
+        ("leaf", None), ("introduce", p), ("introduce", s), ("forget", p),
+        ("introduce", t),
+    ])
+    right = chain(steps, [
+        ("leaf", None), ("introduce", q), ("introduce", t), ("forget", q),
+        ("introduce", s),
+    ])
+    steps.append(("join", (left, right), None))
+    chain(steps, [
+        ("introduce", z), ("forget", s), ("forget", t), ("forget", z),
+    ], len(steps) - 1)
+    nice = nice_from_steps(steps)
+    res = dp_partition(g, nice=nice)
+    assert res.optimum == 2
+    assert is_colourful_partition(g, res.witness)
+    assert dp_components(g, nice=nice).optimum == 1
+
+
+def test_join_keeps_the_labels_of_its_two_sides_apart():
+    # The tree p1-a-z-b-q1 with leaves p2 on a and q2 on b.  Below a join on
+    # the bag {a, b}, the left side forgets p1 into a's part and q1 into
+    # b's part, both coloured 1; the right side does the same with p2 and
+    # q2, coloured 2.  Each side then holds a label on the parts of a and of
+    # b.  The two labels mean different colours, so a's part may take both.
+    a, b, z, p1, q1, p2, q2 = range(7)
+    g = ColouredGraph.build(
+        7, (3, 4, 5, 1, 1, 2, 2), [(a, p1), (a, p2), (a, z), (b, z), (b, q1), (b, q2)]
+    )
+    steps = []
+    left, right = (
+        chain(steps, [
+            ("leaf", None), ("introduce", a), ("introduce", b), ("introduce", p),
+            ("forget", p), ("introduce", q), ("forget", q),
+        ])
+        for p, q in [(p1, q1), (p2, q2)]
+    )
+    steps.append(("join", (left, right), None))
+    chain(steps, [
+        ("introduce", z), ("forget", a), ("forget", b), ("forget", z),
+    ], len(steps) - 1)
+    res = dp_partition(g, nice=nice_from_steps(steps))
+    assert res.optimum == brute_min_partition(g).optimum == 2
+
+
+def test_dead_colour_of_one_component_stays_alive_in_another():
+    # x and x2 form one component, the 4-cycle u-y1-w-y2 another; x2, u and
+    # w are coloured 1.  The bag holds x next to y1 and y2 after u is
+    # forgotten, and colour 1 dies in x's component before w arrives.  Were
+    # x allowed into the class of u, the class would lose colour 1 there
+    # and then take w, with u and w joined through y1 and y2.
+    x, x2, u, y1, y2, w = range(6)
+    g = ColouredGraph.build(
+        6, (3, 1, 1, 2, 4, 1), [(x, x2), (u, y1), (u, y2), (y1, w), (y2, w)]
+    )
+    steps = []
+    chain(steps, [
+        ("leaf", None), ("introduce", u), ("introduce", y1), ("introduce", y2),
+        ("introduce", x), ("forget", u), ("introduce", x2), ("forget", x2),
+        ("introduce", w), ("forget", x), ("forget", y1), ("forget", y2),
+        ("forget", w),
+    ])
+    nice = nice_from_steps(steps)
+    res = dp_components(g, nice=nice)
+    assert res.optimum == brute_min_deletions(g).optimum == 2
+    assert is_valid_deletion_set(g, res.witness)
+    assert dp_partition(g, nice=nice).optimum == brute_min_partition(g).optimum
+
+
+def test_dp_tables_do_not_grow_with_k_on_example1():
+    # Twins u_i, v_i share colour i; once both are forgotten their colour is
+    # dead, so the tables stay the same size however many twins there are.
+    for dp in (dp_partition, dp_components):
+        sizes = {dp(gen_example1(k)).stats["max_table"] for k in (6, 8, 12)}
+        assert len(sizes) == 1
+
+
+def test_dp_optima_ignore_huge_colour_ids():
+    rng = random.Random(6)
+    for _ in range(40):
+        g = random_coloured_graph(rng, n_max=8, colours_max=4)
+        huge = ColouredGraph.build(
+            g.n, tuple(10**9 + 7 * c for c in g.colours), g.edges()
+        )
+        assert dp_optima(huge) == dp_optima(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(small_graphs(n_max=4), min_size=2, max_size=3))
+def test_dp_matches_oracle_on_disjoint_unions_reusing_colours(pieces):
+    # Every piece draws its colours from 1..3, so a colour that dies in one
+    # component of the graph is still alive in another.
+    n, colours, edges = 0, (), []
+    for piece in pieces:
+        edges += [(u + n, v + n) for u, v in piece.edges()]
+        colours += piece.colours
+        n += piece.n
+    g = ColouredGraph.build(n, colours, edges)
+    part, comp = dp_optima(g)
+    assert part == brute_min_partition(g).optimum
+    assert comp == brute_min_deletions(g).optimum
 
 
 # ---------------------------------------------------------------------------
