@@ -11,6 +11,7 @@ The text format for decompositions is:
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -134,6 +135,17 @@ def serialize_td(td: TreeDecomposition) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _eliminate(adj: list[set[int]], v: int) -> set[int]:
+    """Join v's neighbours pairwise, then remove v, in place; returns the
+    neighbours v had."""
+    neigh = adj[v]
+    adj[v] = set()
+    for x in neigh:
+        adj[x] |= neigh
+        adj[x] -= {x, v}
+    return neigh
+
+
 def _greedy_min_degree_order(adj: list[set[int]]) -> tuple[list[int], int]:
     """Min-degree elimination ordering (ties to the smaller vertex) and the
     width it achieves.  A heap holds (degree, vertex) entries; a vertex is
@@ -150,16 +162,8 @@ def _greedy_min_degree_order(adj: list[set[int]]) -> tuple[list[int], int]:
         if eliminated[v] or degree != len(adj[v]):
             continue
         width = max(width, degree)
-        neigh = list(adj[v])
-        for x in neigh:
-            adj[x].discard(v)
-        for x in neigh:
-            for y in neigh:
-                if x < y:
-                    adj[x].add(y)
-                    adj[y].add(x)
+        neigh = _eliminate(adj, v)
         eliminated[v] = True
-        adj[v] = set()
         order.append(v)
         for x in neigh:
             heapq.heappush(heap, (len(adj[x]), x))
@@ -184,7 +188,7 @@ def _order_decision(adj: list[set[int]], max_width: int) -> list[int] | None:
             if len(nb) <= max_width and all(
                 y in adj_now[x] for x in nb for y in nb if x < y
             ):
-                rest = search(*_eliminate(adj_now, alive, v), mask | (1 << v))
+                rest = search(*without(adj_now, alive, v), mask | (1 << v))
                 if rest is None:
                     dead.add(mask)
                     return None
@@ -192,23 +196,15 @@ def _order_decision(adj: list[set[int]], max_width: int) -> list[int] | None:
         for v in sorted(alive, key=lambda u: (len(adj_now[u]), u)):
             if len(adj_now[v]) > max_width:
                 continue
-            rest = search(*_eliminate(adj_now, alive, v), mask | (1 << v))
+            rest = search(*without(adj_now, alive, v), mask | (1 << v))
             if rest is not None:
                 return [v] + rest
         dead.add(mask)
         return None
 
-    def _eliminate(adj_now: list[set[int]], alive: frozenset[int], v: int):
+    def without(adj_now: list[set[int]], alive: frozenset[int], v: int):
         nxt = [set(s) for s in adj_now]
-        neigh = list(nxt[v])
-        for x in neigh:
-            nxt[x].discard(v)
-        for x in neigh:
-            for y in neigh:
-                if x < y:
-                    nxt[x].add(y)
-                    nxt[y].add(x)
-        nxt[v] = set()
+        _eliminate(nxt, v)
         return nxt, alive - {v}
 
     return search(adj, frozenset(range(n)), 0)
@@ -220,17 +216,9 @@ def _td_from_order(g: ColouredGraph, order: list[int]) -> TreeDecomposition:
     bags: list[frozenset[int]] = []
     fill_neigh: list[set[int]] = []
     for v in order:
-        neigh = set(adj[v])
+        neigh = _eliminate(adj, v)
         bags.append(frozenset(neigh | {v}))
         fill_neigh.append(neigh)
-        for x in neigh:
-            adj[x].discard(v)
-        for x in neigh:
-            for y in neigh:
-                if x < y:
-                    adj[x].add(y)
-                    adj[y].add(x)
-        adj[v] = set()
     edges = []
     for i, v in enumerate(order):
         if fill_neigh[i]:
@@ -434,13 +422,6 @@ class RootedDecomposition2CP:
     precut: dict[int, tuple[int, int]]
     subtree_vertices: tuple[frozenset[int], ...]
 
-    def children_lists(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in self.bags]
-        for i, p in enumerate(self.parent):
-            if p != -1:
-                out[p].append(i)
-        return out
-
     def as_tree(self) -> TreeDecomposition:
         edges = tuple(
             (i, p) for i, p in enumerate(self.parent) if p != -1
@@ -448,7 +429,8 @@ class RootedDecomposition2CP:
         return TreeDecomposition(self.bags, edges)
 
     def validate(self, g: ColouredGraph, a: int, b: int) -> None:
-        self.as_tree().validate(g)
+        tree = self.as_tree()
+        tree.validate(g)
         if self.bags[self.root] != frozenset({a, b}):
             raise ValueError("root bag must be {a, b}")
         if self.parent[self.root] != -1:
@@ -465,8 +447,14 @@ class RootedDecomposition2CP:
         for i, vs in enumerate(self.subtree_vertices):
             if vs and not induces_connected(g, vs):
                 raise ValueError(f"subtree of node {i} spans a disconnected part")
+        # a node is a head iff no ancestor-or-self has a 1-element bag;
+        # the search reaches every parent before its children
+        expected: dict[int, bool] = {}
+        for i in search(tree.neighbours(), self.root):
+            p = self.parent[i]
+            expected[i] = len(self.bags[i]) != 1 and (p == -1 or expected[p])
         for i, flag in enumerate(self.head):
-            if flag != self._head_by_walk(i):
+            if flag != expected[i]:
                 raise ValueError(f"head flag of node {i} is wrong")
             if flag and i not in self.precut:
                 raise ValueError(f"head node {i} lacks a precut pair")
@@ -478,163 +466,137 @@ class RootedDecomposition2CP:
             if not {u, v} <= self.bags[i]:
                 raise ValueError(f"precut pair of node {i} not inside its bag")
 
-    def _head_by_walk(self, i: int) -> bool:
-        while i != -1:
-            if len(self.bags[i]) == 1:
-                return False
-            i = self.parent[i]
-        return True
-
 
 def normalize_for_2cp(
     td: TreeDecomposition, g: ColouredGraph, a: int, b: int
 ) -> RootedDecomposition2CP:
     """Rewrite a width-<=2 decomposition of a connected graph into the rooted
-    normal form for the ordered pair (a, b); a and b must be adjacent."""
+    normal form for the ordered pair (a, b); a and b must be adjacent.
+
+    The tree is rooted at the bag {a, b} first.  Then four passes, each one
+    sweep over the whole tree, run in turn until a round changes nothing."""
     if not g.has_edge(a, b):
         raise ValueError("a and b must be adjacent")
     if td.width > 2:
         raise ValueError("normalization needs width at most 2")
-    bags: dict[int, frozenset[int]] = dict(enumerate(td.bags))
-    adj: dict[int, set[int]] = {i: set() for i in bags}
-    for i, j in td.edges:
+    bags: dict[int, frozenset[int]] = {}
+    adj: dict[int, set[int]] = {}
+    ids = itertools.count()
+
+    def add(bag: frozenset[int]) -> int:
+        i = next(ids)
+        bags[i] = bag
+        adj[i] = set()
+        return i
+
+    def link(i: int, j: int) -> None:
         adj[i].add(j)
         adj[j].add(i)
-    next_id = len(td.bags)
 
-    def fresh() -> int:
-        nonlocal next_id
-        next_id += 1
-        return next_id - 1
-
-    def drop(i: int) -> None:
+    def remove(i: int) -> None:
         for x in adj.pop(i):
             adj[x].discard(i)
         bags.pop(i)
 
-    def fix_nesting() -> bool:
-        for i in sorted(bags):
-            for j in sorted(adj[i]):
-                bi, bj = bags[i], bags[j]
-                if bi <= bj or bj <= bi:
-                    continue
-                inter = bi & bj
-                assert inter, "adjacent bags of a connected graph must meet"
-                k = fresh()
-                bags[k] = inter
-                adj[i].discard(j)
-                adj[j].discard(i)
-                adj[k] = {i, j}
-                adj[i].add(k)
-                adj[j].add(k)
-                return True
-        return False
-
-    def tree_component(start: int, removed: int | None) -> dict[int, int | None]:
-        """The nodes still linked to start once removed leaves the tree, each
-        mapped to the node it was reached from; with removed the parent of
-        start, this is the subtree of start.  The search enters only nodes
-        of adj, so removed leaves adj while it runs."""
-        links = adj.pop(removed, None)
-        reached = search(adj, start, adj)
-        if links is not None:
-            adj[removed] = links
-        return reached
-
-    def fix_duplicates() -> bool:
-        by_bag: dict[frozenset[int], int] = {}
-        for i in sorted(bags):
-            if bags[i] in by_bag:
-                keep = by_bag[bags[i]]
-                # reattach only the parts of the tree that lose their link to keep
-                for x in sorted(adj[i]):
-                    if keep not in tree_component(x, i):
-                        adj[x].add(keep)
-                        adj[keep].add(x)
-                for x in list(adj[i]):
-                    adj[x].discard(i)
-                adj.pop(i)
-                bags.pop(i)
-                return True
-            by_bag[bags[i]] = i
-        return False
-
-    for _ in range(10 * (len(td.bags) + g.n) ** 2 + 100):
-        if not (fix_nesting() or fix_duplicates()):
-            break
-    else:
-        raise AssertionError("normalization did not converge")
-
-    # root at the bag {a, b}, inserting it if absent
+    for bag in td.bags:
+        add(bag)
+    for i, j in td.edges:
+        link(i, j)
+    # root at the lowest-id bag {a, b}, inserting it if absent; nodes made
+    # later get higher ids, so dedupe never merges the root away
     ab = frozenset({a, b})
-    root = next((i for i in sorted(bags) if bags[i] == ab), None)
+    root = next((i for i in bags if bags[i] == ab), None)
     if root is None:
-        host = next(i for i in sorted(bags) if ab <= bags[i])
-        root = fresh()
-        bags[root] = ab
-        adj[root] = {host}
-        adj[host].add(root)
+        host = next(i for i in bags if ab <= bags[i])
+        root = add(ab)
+        link(root, host)
 
-    def cleanup() -> bool:
-        """Drop non-root nodes with empty bags or a bag equal to the parent's."""
-        changed = False
-        again = True
-        while again:
-            again = False
-            parent = search(adj, root)
-            for i in sorted(bags):
-                if i == root:
-                    continue
-                p = parent[i]
-                if bags[i] and bags[i] != bags[p]:
-                    continue
-                for x in sorted(adj[i]):
-                    if x != p:
-                        adj[x].add(p)
-                        adj[p].add(x)
-                drop(i)
-                changed = again = True
-                break
-        return changed
-
-    def split_disconnected() -> bool:
+    def split() -> bool:
+        """Replace every topmost subtree whose vertices induce a disconnected
+        part of g by one clone per component, each bag cut down to the
+        component.  The subtree vertex sets are built bottom-up, once."""
         parent = search(adj, root)
-        for i in sorted(bags):
-            nodes = tree_component(i, parent[i])
-            vs = set().union(*(bags[j] for j in nodes))
-            comps = components(g.adj, sorted(vs), vs)
+        children: dict[int, list[int]] = {i: [] for i in parent}
+        for i, p in parent.items():
+            if p is not None:
+                children[p].append(i)
+        below: dict[int, set[int]] = {}
+        for i in reversed(parent):  # children before parents
+            below[i] = set(bags[i]).union(*(below[c] for c in children[i]))
+        changed = False
+        for i in parent:  # parents first, so the nodes of a split subtree are gone
+            if i not in bags:
+                continue
+            comps = components(g.adj, below[i], below[i])
             if len(comps) <= 1:
                 continue
             assert i != root, "the whole graph is connected"
-            comps_orig = sorted(map(frozenset, comps), key=lambda c: (len(c), min(c)))
-            small = comps_orig[0]
-            rest = frozenset().union(*comps_orig[1:])
-            p = parent[i]
-            for part in (small, rest):
-                clone = {j: fresh() for j in nodes}
+            nodes = search(children, i)
+            for comp in sorted(comps, key=min):
+                clone = {j: add(bags[j].intersection(comp)) for j in nodes}
                 for j in nodes:
-                    bags[clone[j]] = bags[j] & part
-                    adj[clone[j]] = set()
-                for j in nodes:
-                    for w in adj[j]:
-                        if nodes.get(w) == j:
-                            adj[clone[j]].add(clone[w])
-                            adj[clone[w]].add(clone[j])
-                adj[clone[i]].add(p)
-                adj[p].add(clone[i])
+                    for c in children[j]:
+                        link(clone[j], clone[c])
+                link(clone[i], parent[i])
             for j in nodes:
-                drop(j)
-            return True
-        return False
+                remove(j)
+            changed = True
+        return changed
 
-    for _ in range(10 * (len(bags) + g.n) ** 2 + 100):
-        while fix_nesting() or fix_duplicates():
-            pass
-        cleanup()
-        if not (fix_nesting() or fix_duplicates() or split_disconnected()):
-            break
-    else:
-        raise AssertionError("normalization did not converge")
+    def nest() -> bool:
+        """Insert the intersection on every tree edge whose bags do not nest."""
+        changed = False
+        for i, p in search(adj, root).items():
+            if p is None or bags[i] <= bags[p] or bags[p] <= bags[i]:
+                continue
+            inter = bags[i] & bags[p]
+            assert inter, "adjacent bags of a connected graph must meet"
+            k = add(inter)
+            adj[i].discard(p)
+            adj[p].discard(i)
+            link(i, k)
+            link(k, p)
+            changed = True
+        return changed
+
+    def dedupe() -> bool:
+        """Merge every bag into the lowest-id node with the same bag: the
+        node's neighbours, except the one on the path to that node, move
+        over to it."""
+        first: dict[frozenset[int], int] = {}
+        changed = False
+        for i in sorted(bags):
+            keep = first.setdefault(bags[i], i)
+            if keep != i:
+                toward = search(adj, keep)[i]
+                for x in adj[i] - {toward}:
+                    link(x, keep)
+                remove(i)
+                changed = True
+        return changed
+
+    def drop() -> bool:
+        """Remove every non-root node whose bag is empty or equal to its
+        parent's, hanging its children from that parent."""
+        parent = search(adj, root)
+        changed = False
+        for i in list(parent):  # parents first
+            p = parent[i]
+            if p is None or (bags[i] and bags[i] != bags[p]):
+                continue
+            for x in adj[i] - {p}:
+                link(x, p)
+                parent[x] = p
+            remove(i)
+            changed = True
+        return changed
+
+    # split runs first, so the clones it makes are nested, merged and dropped
+    # in the same round; the list makes every pass run in every round
+    rounds = 0
+    while any([split(), nest(), dedupe(), drop()]):
+        rounds += 1
+        assert rounds <= len(td.bags) + g.n, "normalization did not converge"
     parent = search(adj, root)
 
     # freeze with dense ids, root first

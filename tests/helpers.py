@@ -56,6 +56,22 @@ def random_colours_with_repeats(
     return tuple(cols)
 
 
+def random_partial_2tree(rng: random.Random, n: int) -> list[Edge]:
+    """Edges of a connected spanning subgraph of a random 2-tree on n >= 2
+    vertices, so treewidth at most 2.  Each new vertex joins both ends of
+    an earlier 2-tree edge; one of its two edges is always kept."""
+    tree_edges = [(0, 1)]
+    kept = {(0, 1)}
+    for v in range(2, n):
+        a, b = rng.choice(tree_edges)
+        tree_edges += [(a, v), (b, v)]
+        first, second = rng.sample([(a, v), (b, v)], 2)
+        kept.add(first)
+        if rng.random() < 0.5:
+            kept.add(second)
+    return sorted(kept)
+
+
 def _rooted_shape(root: int, parent: int, adj: list[list[int]]) -> str:
     subs = sorted(
         _rooted_shape(w, root, adj) for w in adj[root] if w != parent

@@ -14,7 +14,7 @@ from colourful.decomposition import (
 )
 from colourful.graph import ColouredGraph, ParseError, UnsupportedInstanceError
 
-from helpers import random_coloured_graph, random_tree_edges
+from helpers import random_coloured_graph, random_partial_2tree, random_tree_edges
 
 
 def cycle(n):
@@ -210,13 +210,37 @@ def tw2_graphs(rng, count):
 
 def test_normal_form_invariants_hold_per_root_edge():
     rng = random.Random(3)
-    for g in tw2_graphs(rng, 40):
+    graphs = list(tw2_graphs(rng, 40))
+    for _ in range(6):
+        n = rng.randint(40, 150)
+        graphs.append(ColouredGraph.build(n, (1,) * n, random_partial_2tree(rng, n)))
+    for g in graphs:
         td = exact_tree_decomposition(g, 2)
         for a, b in list(g.edges())[:4]:
             for x, y in ((a, b), (b, a)):
                 dec = normalize_for_2cp(td, g, x, y)
                 dec.validate(g, x, y)
                 assert dec.bags[dec.root] == frozenset({x, y})
+
+
+def test_normal_form_splits_a_subtree_into_three_clones():
+    """The subtree of node 4 holds vertices 2, 3 and 4, one leaf each, and no
+    edge between them: its vertices induce three components, so one split
+    makes three clones.  Node 4 repeats its parent's bag, the only way a
+    width-2 subtree of a connected graph can meet three components."""
+    g = ColouredGraph.build(10, tuple(range(1, 11)), [
+        (0, 1), (0, 2), (1, 2), (1, 3), (2, 8), (4, 8), (2, 9), (3, 9),
+        (2, 5), (3, 6), (4, 7),
+    ])
+    bags = [{0, 1}, {0, 1, 2}, {1, 2, 3}, {2, 3, 4}, {2, 3, 4}, {2, 4, 8},
+            {2, 5}, {3, 6}, {4, 7}, {2, 3, 9}]
+    td = TreeDecomposition(
+        tuple(map(frozenset, bags)),
+        ((0, 1), (1, 2), (2, 3), (3, 4), (3, 5), (4, 6), (4, 7), (4, 8), (3, 9)),
+    )
+    td.validate(g)
+    dec = normalize_for_2cp(td, g, 0, 1)
+    dec.validate(g, 0, 1)
 
 
 def test_normal_form_requires_adjacent_roots():

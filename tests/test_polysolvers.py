@@ -25,7 +25,11 @@ from colourful.polysolvers import (
     two_sat_solve,
 )
 
-from helpers import random_coloured_graph, random_colours_with_repeats
+from helpers import (
+    random_coloured_graph,
+    random_colours_with_repeats,
+    random_partial_2tree,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -183,22 +187,6 @@ def test_tw2_solver_two_components():
 def test_tw2_solver_colourful_graph_is_one_block():
     g = ColouredGraph.build(3, (1, 2, 3), [(0, 1), (1, 2)])
     assert solve_2cp_treewidth2(g) == (frozenset({0, 1, 2}),)
-
-
-def random_partial_2tree(rng: random.Random, n: int) -> list[tuple[int, int]]:
-    """Edges of a connected spanning subgraph of a random 2-tree on n >= 2
-    vertices, so treewidth at most 2.  Each new vertex joins both ends of
-    an earlier 2-tree edge; one of its two edges is always kept."""
-    tree_edges = [(0, 1)]
-    kept = {(0, 1)}
-    for v in range(2, n):
-        a, b = rng.choice(tree_edges)
-        tree_edges += [(a, v), (b, v)]
-        first, second = rng.sample([(a, v), (b, v)], 2)
-        kept.add(first)
-        if rng.random() < 0.5:
-            kept.add(second)
-    return sorted(kept)
 
 
 def planted_two_block_colours(
