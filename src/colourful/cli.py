@@ -16,6 +16,7 @@ import sys
 import time
 from concurrent import futures
 from pathlib import Path
+from typing import Callable
 
 from .decomposition import (
     NiceTreeDecomposition,
@@ -56,8 +57,6 @@ from .polysolvers import solve_2cp_treewidth2, solve_two_coloured
 
 EXIT_OK, EXIT_INVALID, EXIT_PARSE, EXIT_NO_SOLVER = 0, 1, 2, 3
 
-ALGOS = ("auto", "matching", "tw2-2sat", "dp", "vc", "nonunique", "oracle")
-
 
 def _fail(code: int, message: str) -> int:
     print(message, file=sys.stderr)
@@ -79,6 +78,81 @@ def _load_instance(path: str) -> ColouredGraph:
 # solve
 # ---------------------------------------------------------------------------
 
+# Fixed limits of the routes.  The DP keeps its own default of treewidth 4.
+MAX_COVER = 4  # largest greedy vertex cover the `vc` kernel accepts
+MAX_Q = 5  # most repeated-colour vertices per component for `nonunique`
+ORACLE_CAP = 12  # most vertices the brute-force oracles enumerate
+
+# Each route is called as route(g, problem, k, nice, max_colours).  It raises
+# UnsupportedInstanceError when its precondition fails and returns None only
+# when no partition with at most two blocks exists.
+Route = Callable[
+    [ColouredGraph, str, int | None, NiceTreeDecomposition | None, int],
+    SolveResult | None,
+]
+
+
+def _matching(g, problem, k, nice, max_colours) -> SolveResult:
+    if len(g.colour_set()) > 2:
+        raise UnsupportedInstanceError("more than two colours")
+    return solve_two_coloured(g, problem)
+
+
+def _tw2(g, problem, k, nice, max_colours) -> SolveResult | None:
+    if problem != "partition" or k != 2:
+        raise UnsupportedInstanceError(
+            "route answers the two-block partition question only (use --k 2)"
+        )
+    part = solve_2cp_treewidth2(g)
+    if part is None:
+        return None
+    return SolveResult("partition", len(part), part, "tw2-2sat", {})
+
+
+def _dp(g, problem, k, nice, max_colours) -> SolveResult:
+    if nice is None and len(g.colour_set()) > max_colours:
+        raise UnsupportedInstanceError(f"more than {max_colours} colours")
+    if problem == "partition":
+        return dp_partition(g, nice=nice)
+    return dp_components(g, nice=nice)
+
+
+def _vc(g, problem, k, nice, max_colours) -> SolveResult:
+    if problem != "partition":
+        raise UnsupportedInstanceError("vertex-cover route solves partition only")
+    return solve_partition_vc(g, max_cover=MAX_COVER)
+
+
+def _nonunique(g, problem, k, nice, max_colours) -> SolveResult:
+    if problem != "partition":
+        raise UnsupportedInstanceError("non-unique-colours route solves partition only")
+    return solve_partition_nonunique(g, max_q=MAX_Q)
+
+
+def _oracle(g, problem, k, nice, max_colours) -> SolveResult | None:
+    if problem == "partition":
+        if g.n <= ORACLE_CAP or k != 2:
+            return brute_min_partition(g, cap=ORACLE_CAP)
+        part = find_two_partition(g)
+        if part is None:
+            return None
+        return SolveResult("partition", len(part), part, "two-block-search", {})
+    if g.m <= 20:
+        return brute_min_deletions(g)
+    return brute_min_deletions_partitions(g, cap=ORACLE_CAP)
+
+
+# The routes in the order `auto` tries them, cheapest first.
+ROUTES: dict[str, Route] = {
+    "matching": _matching,
+    "tw2-2sat": _tw2,
+    "dp": _dp,
+    "vc": _vc,
+    "nonunique": _nonunique,
+    "oracle": _oracle,
+}
+ALGOS = ("auto", *ROUTES)
+
 
 def _solve_with(
     g: ColouredGraph,
@@ -86,74 +160,16 @@ def _solve_with(
     algo: str,
     k: int | None = None,
     nice: NiceTreeDecomposition | None = None,
-    max_tw: int = 4,
     max_colours: int = 6,
-    max_vc: int = 4,
-    max_q: int = 5,
-    oracle_cap: int = 12,
 ) -> SolveResult | None:
-    """Run one route, or the cheapest applicable one.  Returns None only for
-    the two-block route when no two-block partition exists."""
-
-    def matching() -> SolveResult:
-        if len(g.colour_set()) > 2:
-            raise UnsupportedInstanceError("more than two colours")
-        return solve_two_coloured(g, problem)
-
-    def tw2() -> SolveResult | None:
-        if problem != "partition" or k != 2:
-            raise UnsupportedInstanceError(
-                "route answers the two-block partition question only (use --k 2)"
-            )
-        part = solve_2cp_treewidth2(g)
-        if part is None:
-            return None
-        return SolveResult("partition", len(part), part, "tw2-2sat", {})
-
-    def dp() -> SolveResult:
-        if nice is None and len(g.colour_set()) > max_colours:
-            raise UnsupportedInstanceError(f"more than {max_colours} colours")
-        fn = dp_partition if problem == "partition" else dp_components
-        return fn(g, nice=nice, max_width=max_tw)
-
-    def vc() -> SolveResult:
-        if problem != "partition":
-            raise UnsupportedInstanceError("vertex-cover route solves partition only")
-        return solve_partition_vc(g, max_cover=max_vc)
-
-    def nonunique() -> SolveResult:
-        if problem != "partition":
-            raise UnsupportedInstanceError(
-                "non-unique-colours route solves partition only"
-            )
-        return solve_partition_nonunique(g, max_q=max_q)
-
-    def oracle() -> SolveResult | None:
-        if problem == "partition":
-            if g.n <= oracle_cap or k != 2:
-                return brute_min_partition(g, cap=oracle_cap)
-            part = find_two_partition(g)
-            if part is None:
-                return None
-            return SolveResult("partition", len(part), part, "two-block-search", {})
-        if g.m <= 20:
-            return brute_min_deletions(g)
-        return brute_min_deletions_partitions(g, cap=oracle_cap)
-
-    routes = {
-        "matching": matching,
-        "tw2-2sat": tw2,
-        "dp": dp,
-        "vc": vc,
-        "nonunique": nonunique,
-        "oracle": oracle,
-    }
+    """Run one route, or under `auto` the first in `ROUTES` that applies.
+    Returns None only when no two-block partition exists."""
     if algo != "auto":
-        return routes[algo]()
+        return ROUTES[algo](g, problem, k, nice, max_colours)
     reasons = []
-    for name in ("matching", "tw2-2sat", "dp", "vc", "nonunique", "oracle"):
+    for name, route in ROUTES.items():
         try:
-            return routes[name]()
+            return route(g, problem, k, nice, max_colours)
         except UnsupportedInstanceError as exc:
             reasons.append(f"{name}: {exc}")
     raise UnsupportedInstanceError("; ".join(reasons))
@@ -172,20 +188,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
             nice = to_nice(td, g)
     except ParseError as exc:
         return _fail(EXIT_PARSE, f"error: {exc}")
-    if args.algo == "tw2-2sat" and (args.problem != "partition" or args.k != 2):
-        return _fail(EXIT_PARSE, "error: --algo tw2-2sat requires --problem partition --k 2")
     try:
         result = _solve_with(
-            g,
-            args.problem,
-            args.algo,
-            k=args.k,
-            nice=nice,
-            max_tw=args.max_tw,
-            max_colours=args.max_colours,
-            max_vc=args.max_vc,
-            max_q=args.max_q,
-            oracle_cap=args.oracle_cap,
+            g, args.problem, args.algo, k=args.k, nice=nice, max_colours=args.max_colours
         )
     except (UnsupportedInstanceError, ValueError) as exc:
         return _fail(EXIT_NO_SOLVER, f"no applicable solver: {exc}")
@@ -260,37 +265,21 @@ def _parse_cnf(text: str) -> list[tuple[int, ...]]:
     return clauses
 
 
-def _parse_pairs(text: str) -> list[tuple[int, int]]:
-    pairs = []
+def _parse_int_rows(text: str, width: int) -> list[tuple[int, ...]]:
+    """Lines of `width` integers each; '#' starts a comment."""
+    rows = []
     for line in text.splitlines():
-        body = line.split("#", 1)[0].strip()
-        if not body:
+        parts = line.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = body.split()
-        if len(parts) != 2:
-            raise ParseError(f"bad pair line: {line!r}")
         try:
-            pairs.append((int(parts[0]), int(parts[1])))
-        except ValueError as exc:
-            raise ParseError(f"bad pair line: {line!r}") from exc
-    return pairs
-
-
-def _parse_edge_colours(text: str) -> dict[tuple[int, int], int]:
-    out: dict[tuple[int, int], int] = {}
-    for line in text.splitlines():
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        parts = body.split()
-        if len(parts) != 3:
-            raise ParseError(f"bad edge-colour line: {line!r}")
-        try:
-            u, v, c = (int(p) for p in parts)
-        except ValueError as exc:
-            raise ParseError(f"bad edge-colour line: {line!r}") from exc
-        out[norm_edge(u, v)] = c
-    return out
+            row = tuple(map(int, parts))
+        except ValueError:
+            row = ()
+        if len(row) != width:
+            raise ParseError(f"expected {width} integers per line: {line!r}")
+        rows.append(row)
+    return rows
 
 
 def _gen_random(rng: random.Random, n: int, m: int, colours: int) -> ColouredGraph:
@@ -324,7 +313,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
             }
         elif args.family == "vc":
             src = _load_instance(args.graph)
-            ec = _parse_edge_colours(_read_text(args.edge_colours))
+            rows = _parse_int_rows(_read_text(args.edge_colours), 3)
+            ec = {norm_edge(u, v): c for u, v, c in rows}
             g = reduce_vc(src.n, src.edges(), ec)
             default = f"vc_{Path(args.graph).stem}.cg"
             meta = {
@@ -335,7 +325,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
             }
         elif args.family == "multicut":
             src = _load_instance(args.tree)
-            pairs = _parse_pairs(_read_text(args.pairs))
+            pairs = _parse_int_rows(_read_text(args.pairs), 2)
             g = reduce_multicut_tree(src.n, src.edges(), pairs, hardened=args.hardened)
             suffix = "_hardened" if args.hardened else ""
             default = f"multicut_{Path(args.tree).stem}{suffix}.cg"
@@ -362,9 +352,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
             meta = {"family": "nae-pathwidth", "source": args.formula, "target_k": 2}
         else:  # pragma: no cover - argparse restricts choices
             raise ValueError(args.family)
-    except ParseError as exc:
-        return _fail(EXIT_PARSE, f"error: {exc}")
-    except ValueError as exc:
+    except ValueError as exc:  # ParseError included
         return _fail(EXIT_PARSE, f"error: {exc}")
     out = Path(args.output or default)
     out.write_text(serialize_instance(g))
@@ -388,10 +376,10 @@ def _bench_task(task: tuple[str, str, str]) -> list[str]:
     path, solver, problem = task
     try:
         g = parse_instance(Path(path).read_text())
+        # a manifest row has no --k; the 2-SAT route only answers k = 2
+        k = 2 if ROUTES.get(solver) is _tw2 else None
         t0 = time.perf_counter()
-        result = _solve_with(
-            g, problem, solver, k=2 if solver == "tw2-2sat" else None
-        )
+        result = _solve_with(g, problem, solver, k=k)
         wall_ms = (time.perf_counter() - t0) * 1000.0
         if result is None:
             return [path, solver, problem, "none", f"{wall_ms:.1f}", "", "ok"]
@@ -501,11 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="answer the decision question: optimum <= k?")
     p_solve.add_argument("--td", default=None,
                          help="tree decomposition file to use for the DP route")
-    p_solve.add_argument("--max-tw", type=int, default=4, dest="max_tw")
     p_solve.add_argument("--max-colours", type=int, default=6, dest="max_colours")
-    p_solve.add_argument("--max-vc", type=int, default=4, dest="max_vc")
-    p_solve.add_argument("--max-q", type=int, default=5, dest="max_q")
-    p_solve.add_argument("--oracle-cap", type=int, default=12, dest="oracle_cap")
     p_solve.add_argument("-o", "--output", default=None,
                          help="write the witness to this file")
     p_solve.set_defaults(func=cmd_solve)

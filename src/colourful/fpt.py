@@ -7,6 +7,7 @@ colour is not unique.
 from __future__ import annotations
 
 from bisect import insort
+from collections import Counter
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -758,16 +759,14 @@ def _dcs(
 
 
 def _solve_nonunique_connected(
-    g: ColouredGraph, max_q: int, dcs_cap: int
+    g: ColouredGraph, q_vertices: list[int], lower: int, max_q: int, dcs_cap: int
 ) -> list[set[int]]:
-    counts: dict[int, int] = {}
-    for colour in g.colours:
-        counts[colour] = counts.get(colour, 0) + 1
-    q_vertices = sorted(v for v in range(g.n) if counts[g.colours[v]] >= 2)
+    """`q_vertices` lists the vertices whose colour occurs more than once, in
+    order; `lower`, the size of the largest colour class, bounds the number
+    of blocks from below."""
     q = len(q_vertices)
     if q == 0:
         return [set(range(g.n))]
-    lower = max(counts.values())
     if lower < q:
         if q > max_q:
             raise UnsupportedInstanceError(
@@ -804,16 +803,15 @@ def solve_partition_nonunique(
     """
     blocks: list[frozenset[int]] = []
     worst_q = 0
-    for comp in connected_components(g):
+    comps = connected_components(g)
+    for comp in comps:
         order = sorted(comp)
         sub = g.subgraph(order)
-        counts: dict[int, int] = {}
-        for colour in sub.colours:
-            counts[colour] = counts.get(colour, 0) + 1
-        worst_q = max(
-            worst_q, sum(1 for v in range(sub.n) if counts[sub.colours[v]] >= 2)
-        )
-        for blk in _solve_nonunique_connected(sub, max_q, dcs_cap):
+        counts = Counter(sub.colours)
+        q_vertices = [v for v in range(sub.n) if counts[sub.colours[v]] >= 2]
+        worst_q = max(worst_q, len(q_vertices))
+        lower = max(counts.values())
+        for blk in _solve_nonunique_connected(sub, q_vertices, lower, max_q, dcs_cap):
             blocks.append(frozenset(order[v] for v in blk))
     witness = canonical_partition(blocks)
     assert is_colourful_partition(g, witness)
@@ -822,5 +820,5 @@ def solve_partition_nonunique(
         len(witness),
         witness,
         "nonunique-colours",
-        {"q": worst_q, "components": len(connected_components(g))},
+        {"q": worst_q, "components": len(comps)},
     )

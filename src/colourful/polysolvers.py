@@ -161,20 +161,43 @@ def hopcroft_karp(
                     queue.append(w)
         return found
 
-    def dfs(u: int) -> bool:
-        for v in adj_s[u]:
-            w = match_r[v]
-            if w == -1 or (dist[w] == dist[u] + 1 and dfs(w)):
-                match_l[u] = v
-                match_r[v] = u
-                return True
-        dist[u] = INF
-        return False
+    def augment(root: int) -> None:
+        """Depth-first search along the BFS layers from the free vertex
+        `root`, on an explicit stack since a path can be as long as the
+        graph; flips the first augmenting path found.  A vertex from which
+        no augmenting path starts leaves its layer."""
+        path, via, nxt = [root], [], [0]  # left vertices, right vertices between them
+        while path:
+            u = path[-1]
+            nbrs = adj_s[u]
+            i = nxt[-1]
+            while i < len(nbrs):
+                v = nbrs[i]
+                i += 1
+                w = match_r[v]
+                if w == -1:
+                    via.append(v)
+                    for a, b in zip(path, via):
+                        match_l[a] = b
+                        match_r[b] = a
+                    return
+                if dist[w] == dist[u] + 1:
+                    nxt[-1] = i
+                    path.append(w)
+                    via.append(v)
+                    nxt.append(0)
+                    break
+            else:
+                dist[u] = INF
+                path.pop()
+                nxt.pop()
+                if via:
+                    via.pop()
 
     while bfs():
         for u in range(n_left):
             if match_l[u] == -1:
-                dfs(u)
+                augment(u)
     return {u: v for u, v in enumerate(match_l) if v != -1}
 
 

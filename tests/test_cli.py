@@ -7,7 +7,7 @@ import pytest
 
 import colourful
 from colourful.cli import main
-from colourful.gadgets import gen_example1
+from colourful.gadgets import gen_example1, reduce_nae3sat_pathwidth
 from colourful.decomposition import TreeDecomposition, serialize_td
 from colourful.graph import ColouredGraph, parse_instance, serialize_instance
 
@@ -87,6 +87,9 @@ def test_solve_exit_codes(tmp_path, capsys):
     wide.write_text("\n".join(lines) + "\n")
     code, _, err = run(capsys, "solve", wide)
     assert code == 3 and "no applicable solver" in err
+    # a route picked by --algo whose precondition fails
+    code, _, err = run(capsys, "solve", "--algo", "tw2-2sat", wide)
+    assert code == 3 and "use --k 2" in err
 
 
 def test_solve_long_path_without_recursion_limit(tmp_path, capsys):
@@ -101,6 +104,69 @@ def test_solve_long_path_without_recursion_limit(tmp_path, capsys):
     assert code == 0 and out.splitlines()[0] == "deletions 1666"
     code, out, _ = run(capsys, "solve", "--problem", "partition", path)
     assert code == 0 and out.splitlines()[0] == "partition 1667"
+
+
+def test_solve_two_coloured_long_augmenting_path(tmp_path, capsys):
+    # L1..L1500 (ids 0..1499) first take R0..R1499, which leaves one
+    # augmenting path of 3001 edges from L0 (id 1500) through every vertex
+    half = 1500
+    edges = [(half, half + 1)]
+    for i in range(1, half + 1):
+        edges += [(i - 1, half + i), (i - 1, half + 1 + i)]
+    g = ColouredGraph.build(2 * half + 2, [1] * (half + 1) + [2] * (half + 1), edges)
+    path = tmp_path / "augment.cg"
+    path.write_text(serialize_instance(g))
+    code, out, _ = run(capsys, "solve", "--problem", "partition", path)
+    assert code == 0
+    assert out.splitlines() == ["partition 1501", "solver two-coloured-matching"]
+    code, out, _ = run(capsys, "solve", "--problem", "components", path)
+    assert code == 0 and out.splitlines()[0] == "deletions 1500"
+
+
+def _path(colours):
+    return ColouredGraph.build(
+        len(colours), colours, [(v, v + 1) for v in range(len(colours) - 1)]
+    )
+
+
+AUTO_ROUTES = [
+    (_path([1, 2, 1, 2]), ("--problem", "partition"), "two-coloured-matching"),
+    (
+        ColouredGraph.build(6, [1, 2, 3, 1, 2, 3], [(v, (v + 1) % 6) for v in range(6)]),
+        ("--problem", "partition", "--k", "2"),
+        "tw2-2sat",
+    ),
+    (
+        ColouredGraph.build(
+            6, [1, 2, 3, 1, 2, 3], [(0, 1), (1, 2), (1, 3), (3, 4), (3, 5)]
+        ),
+        ("--problem", "partition"),
+        "treewidth-dp",
+    ),
+    (gen_example1(5), ("--problem", "components"), "brute-partitions"),
+    (
+        reduce_nae3sat_pathwidth([(1, 2, 3)])[0],
+        ("--problem", "partition", "--k", "2"),
+        "two-block-search",
+    ),
+    (
+        ColouredGraph.build(8, list(range(1, 9)), [(0, v) for v in range(1, 8)]),
+        ("--problem", "partition"),
+        "vertex-cover-kernel",
+    ),
+    (_path(list(range(1, 13)) + [1]), ("--problem", "partition"), "nonunique-colours"),
+]
+
+
+@pytest.mark.parametrize(
+    "g, args, solver", AUTO_ROUTES, ids=[solver for _, _, solver in AUTO_ROUTES]
+)
+def test_auto_picks_the_first_applicable_route(g, args, solver, tmp_path, capsys):
+    path = tmp_path / "g.cg"
+    path.write_text(serialize_instance(g))
+    code, out, _ = run(capsys, "solve", *args, path)
+    assert code == 0
+    assert out.splitlines()[1] == f"solver {solver}"
 
 
 def test_check_rejects_wrong_witness(example1_file, tmp_path, capsys):
