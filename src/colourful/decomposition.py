@@ -411,16 +411,13 @@ class RootedDecomposition2CP:
     * all bags are distinct,
     * every subtree spans a connected part of the graph.
 
-    ``head`` flags the nodes that have no ancestor-or-self with a 1-element
-    bag; each head node carries an ordered ``precut`` pair.
+    Nodes are numbered parents first: the root is node 0 and every other
+    node's parent has a smaller number.
     """
 
     bags: tuple[frozenset[int], ...]
     parent: tuple[int, ...]
-    root: int
-    head: tuple[bool, ...]
-    precut: dict[int, tuple[int, int]]
-    subtree_vertices: tuple[frozenset[int], ...]
+    root = 0
 
     def as_tree(self) -> TreeDecomposition:
         edges = tuple(
@@ -429,42 +426,26 @@ class RootedDecomposition2CP:
         return TreeDecomposition(self.bags, edges)
 
     def validate(self, g: ColouredGraph, a: int, b: int) -> None:
-        tree = self.as_tree()
-        tree.validate(g)
-        if self.bags[self.root] != frozenset({a, b}):
+        if not self.bags or len(self.parent) != len(self.bags) or self.parent[0] != -1:
+            raise ValueError("node 0 must be the root, with no parent")
+        for i, p in enumerate(self.parent[1:], 1):
+            if not 0 <= p < i:
+                raise ValueError(f"node {i} is not numbered after its parent")
+        self.as_tree().validate(g)
+        if self.bags[0] != frozenset({a, b}):
             raise ValueError("root bag must be {a, b}")
-        if self.parent[self.root] != -1:
-            raise ValueError("root must have no parent")
-        bag_list = list(self.bags)
-        if len(set(bag_list)) != len(bag_list):
+        if len(set(self.bags)) != len(self.bags):
             raise ValueError("bags must be pairwise distinct")
-        for i, p in enumerate(self.parent):
-            if p == -1:
-                continue
+        subtree = [set(bag) for bag in self.bags]
+        for i in reversed(range(1, len(self.bags))):
+            p = self.parent[i]
             bi, bp = self.bags[i], self.bags[p]
             if not (bi < bp or bp < bi):
                 raise ValueError(f"bags of {i} and its parent do not strictly nest")
-        for i, vs in enumerate(self.subtree_vertices):
-            if vs and not induces_connected(g, vs):
+            subtree[p] |= subtree[i]
+        for i, vs in enumerate(subtree):
+            if vs and not induces_connected(g, frozenset(vs)):
                 raise ValueError(f"subtree of node {i} spans a disconnected part")
-        # a node is a head iff no ancestor-or-self has a 1-element bag;
-        # the search reaches every parent before its children
-        expected: dict[int, bool] = {}
-        for i in search(tree.neighbours(), self.root):
-            p = self.parent[i]
-            expected[i] = len(self.bags[i]) != 1 and (p == -1 or expected[p])
-        for i, flag in enumerate(self.head):
-            if flag != expected[i]:
-                raise ValueError(f"head flag of node {i} is wrong")
-            if flag and i not in self.precut:
-                raise ValueError(f"head node {i} lacks a precut pair")
-        for i, (u, v) in self.precut.items():
-            if not self.head[i]:
-                raise ValueError(f"non-head node {i} carries a precut")
-            if len(self.bags[i]) == 2 and self.bags[i] != frozenset({u, v}):
-                raise ValueError(f"2-bag {i} precut pair must equal the bag")
-            if not {u, v} <= self.bags[i]:
-                raise ValueError(f"precut pair of node {i} not inside its bag")
 
 
 def normalize_for_2cp(
@@ -597,49 +578,12 @@ def normalize_for_2cp(
     while any([split(), nest(), dedupe(), drop()]):
         rounds += 1
         assert rounds <= len(td.bags) + g.n, "normalization did not converge"
+    # freeze, numbering the nodes parents first
     parent = search(adj, root)
-
-    # freeze with dense ids, root first
-    ordering = sorted(bags)
-    index = {old: i for i, old in enumerate(ordering)}
-    fbags = tuple(bags[old] for old in ordering)
-    fparent = tuple(
-        -1 if old == root else index[parent[old]] for old in ordering
-    )
-    froot = index[root]
-    order = [index[old] for old in parent]
-
-    subtree = [set(bag) for bag in fbags]
-    for u in reversed(order):
-        if fparent[u] != -1:
-            subtree[fparent[u]] |= subtree[u]
-
-    head = [False] * len(fbags)
-    precut: dict[int, tuple[int, int]] = {}
-    for u in order:  # parents before children
-        p = fparent[u]
-        if len(fbags[u]) == 1 or (p != -1 and not head[p]):
-            continue
-        head[u] = True
-        if u == froot:
-            precut[u] = (a, b)
-            continue
-        if len(fbags[u]) == 3:
-            assert len(fbags[p]) == 2, "parent of a head 3-bag is a 2-bag"
-            precut[u] = precut[p]
-        else:
-            assert len(fbags[u]) == 2 and len(fbags[p]) == 3
-            pu, pv = precut[p]
-            w = next(iter(fbags[p] - {pu, pv}))
-            if fbags[u] == frozenset({pv, w}):
-                precut[u] = (w, pv)
-            elif fbags[u] == frozenset({pu, w}):
-                precut[u] = (pu, w)
-            else:
-                raise AssertionError("2-bag child repeats its grandparent's bag")
-
+    index = {old: i for i, old in enumerate(parent)}
     dec = RootedDecomposition2CP(
-        fbags, fparent, froot, tuple(head), precut, tuple(map(frozenset, subtree))
+        tuple(bags[old] for old in parent),
+        tuple(-1 if p is None else index[p] for p in parent.values()),
     )
     dec.validate(g, a, b)
     return dec

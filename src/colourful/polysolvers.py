@@ -53,68 +53,62 @@ def two_sat_solve(formula: TwoSatFormula) -> dict[int, bool] | None:
     a variable is true when its positive literal's component is later in
     topological order (smaller Tarjan id) than its negative literal's."""
     n = formula.nvars
-    for x, y in formula.clauses:
-        for l in (x, y):
-            if l == 0 or abs(l) > n:
-                raise ValueError(f"literal {l} out of range")
-
-    def node(l: int) -> int:
-        return 2 * (abs(l) - 1) + (1 if l < 0 else 0)
-
+    # literal +v is node 2(v-1) and -v is node 2(v-1)+1, so x ^ 1 negates x
     succ: list[list[int]] = [[] for _ in range(2 * n)]
-    for x, y in formula.clauses:
-        succ[node(-x)].append(node(y))
+    for clause in formula.clauses:
+        l0, l1 = clause
+        x = 2 * l0 - 2 if l0 > 0 else -2 * l0 - 1
+        y = 2 * l1 - 2 if l1 > 0 else -2 * l1 - 1
+        if min(x, y) < 0 or max(x, y) >= 2 * n:
+            raise ValueError(f"clause {clause} has a literal out of range")
+        succ[x ^ 1].append(y)
         if x != y:
-            succ[node(-y)].append(node(x))
+            succ[y ^ 1].append(x)
 
+    # Tarjan on an explicit stack of (node, next edge) frames; a node that
+    # has an index but no component yet is on the SCC stack
     index = [-1] * (2 * n)
     low = [0] * (2 * n)
     comp = [-1] * (2 * n)
-    on_stack = [False] * (2 * n)
     stack: list[int] = []
     counter = 0
     ncomp = 0
-
     for start in range(2 * n):
         if index[start] != -1:
             continue
-        work: list[tuple[int, int]] = [(start, 0)]
+        work = [(start, 0)]
         while work:
-            v, pi = work.pop()
-            if pi == 0:
+            v, i = work.pop()
+            out_v = succ[v]
+            if i == 0:
                 index[v] = low[v] = counter
                 counter += 1
                 stack.append(v)
-                on_stack[v] = True
-            elif low[succ[v][pi - 1]] < low[v]:
-                low[v] = low[succ[v][pi - 1]]
-            recursed = False
-            for i in range(pi, len(succ[v])):
-                w = succ[v][i]
+            elif low[out_v[i - 1]] < low[v]:
+                low[v] = low[out_v[i - 1]]
+            for i in range(i, len(out_v)):
+                w = out_v[i]
                 if index[w] == -1:
                     work.append((v, i + 1))
                     work.append((w, 0))
-                    recursed = True
                     break
-                if on_stack[w] and index[w] < low[v]:
+                if comp[w] == -1 and index[w] < low[v]:
                     low[v] = index[w]
-            if recursed:
-                continue
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = ncomp
-                    if w == v:
-                        break
-                ncomp += 1
+            else:
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        comp[w] = ncomp
+                        if w == v:
+                            break
+                    ncomp += 1
 
     out: dict[int, bool] = {}
-    for v in range(1, n + 1):
-        pos, neg = comp[node(v)], comp[node(-v)]
+    for v in range(n):
+        pos, neg = comp[2 * v], comp[2 * v + 1]
         if pos == neg:
             return None
-        out[v] = pos < neg
+        out[v + 1] = pos < neg
     assert formula.check(out)
     return out
 
@@ -261,51 +255,90 @@ def _colour_classes(g: ColouredGraph) -> list[list[int]]:
     return list(classes.values())
 
 
-def build_phi(g: ColouredGraph, dec: RootedDecomposition2CP) -> TwoSatFormula:
+def build_phi(
+    g: ColouredGraph, dec: RootedDecomposition2CP, a: int, b: int
+) -> TwoSatFormula:
     """The 2-SAT formula whose models are exactly the two-block colourful
     partitions (V1, V2) with a in V1 and b in V2, for the rooted normal-form
     decomposition with root bag {a, b}.  Variable v+1 means "vertex v in V1".
+
+    Let sub(i) be the vertices in the bags of node i's subtree.  Node i gets
+    two reach literals: A_i means "all of sub(i) is in V1" and B_i "all of
+    sub(i) is in V2".  A_i implies its bag's literals and its children's
+    A_c, and likewise for B_i.  A head (a node with no 1-element bag on its
+    path to the root) carries a cut pair (u, v), derived from its parent's
+    in one pass, parents first; a 1-element bag {u} carries (u, u).  A pair
+    asks for v -> A_i and not u -> B_i, and the converse holds because u
+    and v are in the bag: so A_i is the literal v and B_i the literal not u.
+    Every other node gets two fresh variables.  The formula thus has
+    O(nodes) clauses besides two per same-coloured pair.
     """
-    a, b = dec.precut[dec.root]
+    n = g.n
     two_bags = {bag for bag in dec.bags if len(bag) == 2}
+
+    clauses: list[tuple[int, int]] = [(a + 1, a + 1), (-(b + 1), -(b + 1))]
 
     def attached(x: int, y: int) -> bool:
         return g.has_edge(x, y) or frozenset({x, y}) in two_bags
 
-    clauses: list[tuple[int, int]] = [(a + 1, a + 1), (-(b + 1), -(b + 1))]
+    def imply(x: int, y: int) -> None:
+        if x != y:
+            clauses.append((-x, y))
+
     for u, v in sorted(
         pair for vs in _colour_classes(g) for pair in combinations(vs, 2)
     ):
         clauses.append((u + 1, v + 1))
         clauses.append((-(u + 1), -(v + 1)))
-    for i, flag in enumerate(dec.head):
-        if not flag:
-            continue
-        u, v = dec.precut[i]
-        sub = dec.subtree_vertices[i]
-        clauses.append((u + 1, -(v + 1)))
-        for w in sorted(sub):
-            if w != u:
-                clauses.append((u + 1, -(w + 1)))
-            if w != v:
-                clauses.append((-(v + 1), w + 1))
-        if len(dec.bags[i]) == 3:
-            (w,) = dec.bags[i] - {u, v}
+    nvars = n
+    reach: list[tuple[int, int]] = []  # (A_i, B_i) of each node
+    precut: dict[int, tuple[int, int]] = {}  # the cut pair of each head
+    for i, bag in enumerate(dec.bags):  # parents before children
+        p = dec.parent[i]
+        if len(bag) == 1:
+            (u,) = bag
+            cut = (u, u)
+        elif p == -1:
+            cut = precut[i] = (a, b)
+        elif p in precut:
+            if len(bag) == 3:
+                assert len(dec.bags[p]) == 2, "parent of a head 3-bag is a 2-bag"
+                cut = precut[p]
+            else:
+                assert len(bag) == 2 and len(dec.bags[p]) == 3
+                pu, pv = precut[p]
+                (w,) = dec.bags[p] - {pu, pv}
+                if bag == frozenset({pv, w}):
+                    cut = (w, pv)
+                elif bag == frozenset({pu, w}):
+                    cut = (pu, w)
+                else:
+                    raise AssertionError("2-bag child repeats its grandparent's bag")
+            precut[i] = cut
+        else:
+            cut = None
+        if cut is None:
+            all_v1, all_v2 = nvars + 1, nvars + 2
+            nvars += 2
+        else:
+            u, v = cut
+            all_v1, all_v2 = v + 1, -(u + 1)
+        reach.append((all_v1, all_v2))
+        for w in sorted(bag):
+            imply(all_v1, w + 1)
+            imply(all_v2, -(w + 1))
+        if p != -1:
+            imply(reach[p][0], all_v1)
+            imply(reach[p][1], all_v2)
+        if i in precut and len(bag) == 3:
+            (w,) = bag - {u, v}
             if not attached(w, v):
                 clauses.append((-(w + 1), u + 1))
                 clauses.append((w + 1, -(u + 1)))
             if not attached(w, u):
                 clauses.append((-(w + 1), v + 1))
                 clauses.append((w + 1, -(v + 1)))
-    for i, bag in enumerate(dec.bags):
-        if len(bag) != 1:
-            continue
-        (u,) = bag
-        for w in sorted(dec.subtree_vertices[i]):
-            if w != u:
-                clauses.append((-(u + 1), w + 1))
-                clauses.append((u + 1, -(w + 1)))
-    return TwoSatFormula(g.n, tuple(clauses))
+    return TwoSatFormula(nvars, tuple(clauses))
 
 
 def _shortest_same_colour_path(
@@ -371,7 +404,7 @@ def solve_2cp_treewidth2(g: ColouredGraph) -> Partition | None:
     path = _shortest_same_colour_path(g, classes)
     for a, b in zip(path, path[1:]):
         dec = normalize_for_2cp(td, g, a, b)
-        assignment = two_sat_solve(build_phi(g, dec))
+        assignment = two_sat_solve(build_phi(g, dec, a, b))
         if assignment is None:
             continue
         v1 = frozenset(v for v in range(g.n) if assignment[v + 1])

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from colourful.decomposition import (
+    RootedDecomposition2CP,
     TreeDecomposition,
     _greedy_min_degree_order,
     exact_tree_decomposition,
@@ -241,6 +242,38 @@ def test_normal_form_splits_a_subtree_into_three_clones():
     td.validate(g)
     dec = normalize_for_2cp(td, g, 0, 1)
     dec.validate(g, 0, 1)
+
+
+def rooted(*nodes):
+    """A rooted form from (bag, parent) pairs, numbered in the given order."""
+    return RootedDecomposition2CP(
+        tuple(frozenset(bag) for bag, _ in nodes), tuple(p for _, p in nodes)
+    )
+
+
+def test_rooted_form_validate_rejects_each_broken_rule():
+    # a triangle 0, 1, 2 with a pendant vertex 3 on 2
+    g = ColouredGraph.build(4, (1, 2, 3, 4), [(0, 1), (0, 2), (1, 2), (2, 3)])
+    good = [({0, 1}, -1), ({0, 1, 2}, 0), ({2}, 1), ({2, 3}, 2)]
+    rooted(*good).validate(g, 0, 1)
+    broken = {
+        "root bag": (rooted(*good), (0, 2)),
+        "pairwise distinct": (rooted(*good, ({2}, 3)), (0, 1)),
+        "strictly nest": (rooted(*good[:2], ({2, 3}, 1)), (0, 1)),
+        "numbered after its parent": (
+            rooted(({0, 1}, -1), ({2}, 2), ({0, 1, 2}, 0), ({2, 3}, 1)), (0, 1)
+        ),
+    }
+    for rule, (dec, (a, b)) in broken.items():
+        with pytest.raises(ValueError, match=rule):
+            dec.validate(g, a, b)
+    # on the path 0-1-2 the bag {0, 2} nests in {0, 1, 2}, but 0 and 2 are
+    # not adjacent
+    path = ColouredGraph.build(3, (1, 2, 3), [(0, 1), (1, 2)])
+    dec = rooted(({0, 1}, -1), ({0, 1, 2}, 0), ({0, 2}, 1))
+    dec.as_tree().validate(path)
+    with pytest.raises(ValueError, match="disconnected"):
+        dec.validate(path, 0, 1)
 
 
 def test_normal_form_requires_adjacent_roots():

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from colourful.decomposition import exact_tree_decomposition, normalize_for_2cp
 from colourful.graph import (
     ColouredGraph,
     UnsupportedInstanceError,
@@ -19,6 +20,7 @@ from colourful.oracle import (
 )
 from colourful.polysolvers import (
     TwoSatFormula,
+    build_phi,
     hopcroft_karp,
     solve_2cp_treewidth2,
     solve_two_coloured,
@@ -279,3 +281,54 @@ def test_tw2_solver_rejects_a_thrice_used_colour_before_the_width_check():
         4, (1, 1, 1, 2), [(u, v) for u in range(4) for v in range(u + 1, 4)]
     )
     assert solve_2cp_treewidth2(k4) is None
+
+
+# ---------------------------------------------------------------------------
+# the two-block formula itself
+# ---------------------------------------------------------------------------
+
+
+def test_phi_models_are_exactly_the_two_block_partitions():
+    """Fix every vertex but a and b by unit clauses: the formula must be
+    satisfiable exactly when the fixed sides are two colourful blocks."""
+    rng = random.Random(11)
+    outcomes = {True: 0, False: 0}
+    for _ in range(40):
+        n = rng.randint(5, 9)
+        g = ColouredGraph.build(
+            n,
+            random_colours_with_repeats(rng, n, rng.randint(1, 3)),
+            random_partial_2tree(rng, n),
+        )
+        td = exact_tree_decomposition(g, 2)
+        for a, b in rng.sample(list(g.edges()), min(3, g.m)):
+            if rng.random() < 0.5:
+                a, b = b, a
+            phi = build_phi(g, normalize_for_2cp(td, g, a, b), a, b)
+            rest = [v for v in range(n) if v not in (a, b)]
+            for bits in range(1 << len(rest)):
+                v1 = {a} | {v for j, v in enumerate(rest) if bits >> j & 1}
+                units = tuple(
+                    (v + 1, v + 1) if v in v1 else (-(v + 1), -(v + 1))
+                    for v in rest
+                )
+                model = two_sat_solve(
+                    TwoSatFormula(phi.nvars, phi.clauses + units)
+                )
+                blocks = (frozenset(v1), frozenset(range(n)) - v1)
+                assert (model is not None) == is_colourful_partition(g, blocks)
+                outcomes[model is not None] += 1
+    assert min(outcomes.values()) >= 50, outcomes
+
+
+def test_phi_is_linear_in_the_decomposition():
+    """Tying every subtree vertex to each cut pair, one clause per pair,
+    would take 179,999 clauses on this cycle."""
+    n = 300
+    g = ColouredGraph.build(
+        n, tuple(range(1, n)) + (1,), [(v, (v + 1) % n) for v in range(n)]
+    )
+    dec = normalize_for_2cp(exact_tree_decomposition(g, 2), g, 0, 1)
+    same_coloured_pairs = 1
+    phi = build_phi(g, dec, 0, 1)
+    assert len(phi.clauses) <= 12 * len(dec.bags) + 2 * same_coloured_pairs + 2
