@@ -363,30 +363,35 @@ def to_nice(td: TreeDecomposition, g: ColouredGraph) -> NiceTreeDecomposition:
             key=lambda j: (sorted(g.colours[v] for v in td.bags[j] - td.bags[i]), j),
         )
 
-    # Depth-first over the td tree with an explicit stack.  A frame holds a
-    # td node, its children in `kids` order and the tops built so far, one
-    # per finished child (chained to the node's bag); a node's top is its
-    # leaf chain, or the joins of its children's tops.
-    frames = [(0, kids(0, None), [])]
+    def frame(i: int, parent: int | None):
+        """A td node, its children in `kids` order, the part of its bag that
+        some child holds, and the tops built so far."""
+        todo = kids(i, parent)
+        held = td.bags[i] & frozenset().union(*(td.bags[j] for j in todo))
+        return i, todo, held, []
+
+    # Depth-first over the td tree with an explicit stack.  Each finished
+    # child's top is chained to its parent's held bag; the children are
+    # joined on that bag, and one chain above the joins introduces the rest
+    # of the node's bag, once.  A leaf td node starts from a nice leaf.
+    frames = [frame(0, None)]
     while True:
-        i, todo, tops = frames[-1]
+        i, todo, held, tops = frames[-1]
         if len(tops) < len(todo):
-            j = todo[len(tops)]
-            frames.append((j, kids(j, i), []))
+            frames.append(frame(todo[len(tops)], i))
             continue
         frames.pop()
-        if todo:
-            while len(tops) > 1:
-                b = tops.pop()
-                a = tops.pop()
-                tops.append(add("join", td.bags[i], (a, b), None))
-            top = tops[0]
-        else:
-            top = chain_to(add("leaf", frozenset(), (), None), td.bags[i])
+        if not todo:
+            tops.append(add("leaf", frozenset(), (), None))
+        while len(tops) > 1:
+            b = tops.pop()
+            a = tops.pop()
+            tops.append(add("join", held, (a, b), None))
+        top = chain_to(tops[0], td.bags[i])
         if not frames:
             break
-        p, _, parent_tops = frames[-1]
-        parent_tops.append(chain_to(top, td.bags[p]))
+        _, _, parent_held, parent_tops = frames[-1]
+        parent_tops.append(chain_to(top, parent_held))
 
     root = chain_to(top, frozenset())
     if kind[root] != "forget":  # td.bags[0] was already empty

@@ -190,20 +190,21 @@ def _tree_dp(
     introduce: Callable[[_Bits, int, int, Table], Moves],
     join: Callable[[_Bits, int, Table, Table], Moves],
     project: Callable[[_Bits, Key, Dying | None], Key],
-) -> tuple[int, dict[int, dict[Key, tuple]], int]:
+) -> tuple[int, dict[int, dict[Key, tuple]], dict[str, int]]:
     """Bottom-up minimisation over the nice decomposition: each node keeps,
     per key, the least value of the moves reaching it and the first move
     attaining it.  Keys are projected where colours die, and wherever a
     child table holds labels, whose holders' indices may have moved.  Bags
     are passed to the steps as vertex masks.  Returns the root value, the
-    back-pointer tables and the size of the largest table."""
+    back-pointer tables and the stats: the nice nodes, the size of the
+    largest table and the entries stored over all tables."""
     order = nice.postorder()
     bits = _Bits(g, nice, order)
     tables: dict[int, Table] = {}
     bags: dict[int, int] = {}
     labelled: set[int] = set()  # nodes whose table holds label bits
     backs: dict[int, dict[Key, tuple]] = {}
-    max_table = 0
+    max_table = states = 0
     for node in order:
         kind = nice.kind[node]
         kids = nice.children[node]
@@ -235,7 +236,9 @@ def _tree_dp(
         bags[node] = bag
         backs[node] = back
         max_table = max(max_table, len(table))
-    return tables[nice.root][EMPTY_KEY], backs, max_table
+        states += len(table)
+    stats = {"nodes": len(nice.bags), "max_table": max_table, "states": states}
+    return tables[nice.root][EMPTY_KEY], backs, stats
 
 
 def _forget(bits: _Bits, v: int, bag: int, table: Table) -> Moves:
@@ -387,12 +390,11 @@ def dp_partition(
     decomposition.  Keys pair a partition of the bag with the forgotten
     colours per part; the value counts the parts opened so far."""
     nice = _default_nice(g, nice, max_width)
-    optimum, backs, max_table = _tree_dp(
+    optimum, backs, stats = _tree_dp(
         g, nice, _partition_introduce, _partition_join, _partition_project
     )
     witness = canonical_partition(_replay(nice, backs, g.n))
     assert len(witness) == optimum and is_colourful_partition(g, witness)
-    stats = {"nodes": len(nice.bags), "max_table": max_table}
     return SolveResult("partition", optimum, witness, "treewidth-dp", stats)
 
 
@@ -464,7 +466,7 @@ def dp_components(
     colourful classes (connectivity not required) minimising the number of
     edges whose endpoints land in different classes."""
     nice = _default_nice(g, nice, max_width)
-    optimum, backs, max_table = _tree_dp(
+    optimum, backs, stats = _tree_dp(
         g, nice, _components_introduce, _components_join, _components_project
     )
     class_of = {u: i for i, cls in enumerate(_replay(nice, backs, g.n)) for u in cls}
@@ -473,7 +475,6 @@ def dp_components(
     )
     assert len(deleted) == optimum
     assert is_valid_deletion_set(g, deleted)
-    stats = {"nodes": len(nice.bags), "max_table": max_table}
     return SolveResult("components", optimum, deleted, "treewidth-dp", stats)
 
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from colourful.decomposition import (
     NiceTreeDecomposition,
+    _td_from_order,
     exact_tree_decomposition,
     to_nice,
 )
@@ -93,8 +94,11 @@ def test_dp_empty_and_singleton():
     assert dp_partition(empty).optimum == 0
     assert dp_components(empty).optimum == 0
     single = ColouredGraph.build(1, (1,), [])
-    assert dp_partition(single).optimum == 1
+    res = dp_partition(single)
+    assert res.optimum == 1
     assert dp_components(single).optimum == 0
+    # leaf, introduce and forget each store one entry
+    assert res.stats == {"nodes": 3, "max_table": 1, "states": 3}
 
 
 @st.composite
@@ -266,6 +270,46 @@ def test_dp_tables_do_not_grow_with_k_on_example1():
     for dp in (dp_partition, dp_components):
         sizes = {dp(gen_example1(k)).stats["max_table"] for k in (6, 8, 12)}
         assert len(sizes) == 1
+
+
+def test_tree_children_are_joined_on_the_vertex_they_share():
+    # On a tree each bag is {v, parent(v)}, and most children of that bag
+    # hold only v of it.  Joining them on v alone introduces parent(v) once
+    # per bag instead of once per child branch; joining on the whole bag
+    # makes every join bag two vertices wide and about 2n introduce nodes.
+    n = 300
+    for seed in range(3):
+        rng = random.Random(seed)
+        colours = tuple(rng.randint(1, 3) for _ in range(n))
+        g = ColouredGraph.build(n, colours, random_tree_edges(rng, n))
+        nice = to_nice(exact_tree_decomposition(g, 1), g)
+        nice.validate(g)
+        joins = [len(bag) for bag, kind in zip(nice.bags, nice.kind) if kind == "join"]
+        assert 3 * joins.count(1) > 2 * len(joins)
+        assert nice.kind.count("introduce") < 1.7 * n
+        blocks = dp_partition(g, nice=nice)
+        deletions = dp_components(g, nice=nice)
+        assert blocks.optimum == deletions.optimum + 1
+        assert blocks.stats["nodes"] == len(nice.bags)
+        assert blocks.stats["max_table"] <= blocks.stats["states"]
+
+
+def test_pieces_holding_none_of_a_bag_are_joined_on_the_empty_bag():
+    # Components P = 0-1, Q = 2-3 and the triangle R = {4, 5, 6}.  In this
+    # elimination order 3 and then 1 are left without neighbours, so each
+    # bag is hung on the next one: rooted at bag 0 = {0, 1}, the bag {1}
+    # has the children {3} and {4, 5, 6}, which hold none of it.
+    edges = [(0, 1), (2, 3), (4, 5), (4, 6), (5, 6)]
+    rng = random.Random(5)
+    for _ in range(20):
+        g = ColouredGraph.build(7, tuple(rng.randint(1, 3) for _ in range(7)), edges)
+        nice = to_nice(_td_from_order(g, [0, 2, 3, 1, 4, 5, 6]), g)
+        nice.validate(g)
+        assert frozenset() in (
+            bag for bag, kind in zip(nice.bags, nice.kind) if kind == "join"
+        )
+        assert dp_partition(g, nice=nice).optimum == brute_min_partition(g).optimum
+        assert dp_components(g, nice=nice).optimum == brute_min_deletions(g).optimum
 
 
 def test_dp_optima_ignore_huge_colour_ids():
