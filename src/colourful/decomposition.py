@@ -11,7 +11,6 @@ The text format for decompositions is:
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -19,7 +18,6 @@ from .graph import (
     ColouredGraph,
     ParseError,
     UnsupportedInstanceError,
-    components,
     induces_connected,
     search,
 )
@@ -146,15 +144,20 @@ def _eliminate(adj: list[set[int]], v: int) -> set[int]:
     return neigh
 
 
-def _greedy_min_degree_order(adj: list[set[int]]) -> tuple[list[int], int]:
+def _greedy_min_degree_order(
+    adj: Sequence[Iterable[int]], last: Sequence[int] = ()
+) -> tuple[list[int], int]:
     """Min-degree elimination ordering (ties to the smaller vertex) and the
     width it achieves.  A heap holds (degree, vertex) entries; a vertex is
     pushed again whenever its degree changes, and entries of eliminated
-    vertices or of outdated degrees are skipped."""
+    vertices or of outdated degrees are skipped.  The vertices in `last`
+    stay out of the heap and are eliminated at the end, in that order."""
     adj = [set(s) for s in adj]
-    heap = [(len(s), v) for v, s in enumerate(adj)]
-    heapq.heapify(heap)
     eliminated = [False] * len(adj)
+    for v in last:
+        eliminated[v] = True  # so the heap skips it
+    heap = [(len(s), v) for v, s in enumerate(adj) if not eliminated[v]]
+    heapq.heapify(heap)
     order = []
     width = 0
     while heap:
@@ -167,6 +170,9 @@ def _greedy_min_degree_order(adj: list[set[int]]) -> tuple[list[int], int]:
         order.append(v)
         for x in neigh:
             heapq.heappush(heap, (len(adj[x]), x))
+    for v in last:
+        width = max(width, len(_eliminate(adj, v)))
+        order.append(v)
     return order, width
 
 
@@ -236,18 +242,23 @@ def exact_tree_decomposition(
 ) -> TreeDecomposition | None:
     """A tree decomposition of width <= max_width, or None if none exists.
 
-    A min-degree greedy ordering is tried first for any size; the exact
-    branch-and-bound decision only runs for n <= exact_cap.  Larger graphs
-    that greedy cannot certify raise, since neither answer would be safe.
+    A min-degree greedy ordering is tried first for any size.  For
+    max_width <= 2 its answer is exact: eliminating a vertex of degree at
+    most 2 leaves a minor, so when greedy meets only degrees of 3 or more,
+    the graph has a minor of minimum degree 3 and treewidth at least 3.
+    Otherwise the exact branch-and-bound decision only runs for
+    n <= exact_cap; larger graphs that greedy cannot certify raise, since
+    neither answer would be safe.
     """
     if g.n == 0:
         return TreeDecomposition((frozenset(),), ())
-    adj = [set(s) for s in g.adj]
-    order, width = _greedy_min_degree_order(adj)
+    order, width = _greedy_min_degree_order(g.adj)
     if width <= max_width:
         td = _td_from_order(g, order)
         assert td.width <= max_width
         return td
+    if max_width <= 2:
+        return None
     if g.n > exact_cap:
         raise UnsupportedInstanceError(
             f"exact treewidth decision supports n <= {exact_cap}, got n = {g.n}"
@@ -414,7 +425,9 @@ class RootedDecomposition2CP:
 
     * adjacent bags strictly nest,
     * all bags are distinct,
-    * every subtree spans a connected part of the graph.
+    * every subtree spans a connected part of the graph,
+    * in a 3-bag under a 2-bag P, the vertex outside P shares an edge of
+      the graph or a 2-bag with each vertex of P.
 
     Nodes are numbered parents first: the root is node 0 and every other
     node's parent has a smaller number.
@@ -441,154 +454,68 @@ class RootedDecomposition2CP:
             raise ValueError("root bag must be {a, b}")
         if len(set(self.bags)) != len(self.bags):
             raise ValueError("bags must be pairwise distinct")
+        two_bags = {bag for bag in self.bags if len(bag) == 2}
         subtree = [set(bag) for bag in self.bags]
         for i in reversed(range(1, len(self.bags))):
             p = self.parent[i]
             bi, bp = self.bags[i], self.bags[p]
             if not (bi < bp or bp < bi):
                 raise ValueError(f"bags of {i} and its parent do not strictly nest")
+            if len(bi) == 3 and len(bp) == 2:
+                (w,) = bi - bp
+                if not all(g.has_edge(w, x) or frozenset({w, x}) in two_bags for x in bp):
+                    raise ValueError(
+                        f"vertex {w} of node {i} is not attached to its parent's bag"
+                    )
             subtree[p] |= subtree[i]
         for i, vs in enumerate(subtree):
             if vs and not induces_connected(g, frozenset(vs)):
                 raise ValueError(f"subtree of node {i} spans a disconnected part")
 
 
-def normalize_for_2cp(
-    td: TreeDecomposition, g: ColouredGraph, a: int, b: int
-) -> RootedDecomposition2CP:
-    """Rewrite a width-<=2 decomposition of a connected graph into the rooted
-    normal form for the ordered pair (a, b); a and b must be adjacent.
+def normalize_for_2cp(g: ColouredGraph, a: int, b: int) -> RootedDecomposition2CP:
+    """The rooted normal form of a connected graph of treewidth at most 2 for
+    the ordered pair (a, b); a and b must be adjacent.
 
-    The tree is rooted at the bag {a, b} first.  Then four passes, each one
-    sweep over the whole tree, run in turn until a round changes nothing."""
+    One min-degree elimination leaves b and a for last.  Every partial
+    2-tree with the edge ab has a vertex of degree at most 2 outside {a, b},
+    so every separator N+(v), the neighbours v has when it is eliminated,
+    holds at most 2 vertices.  Vertex v's node has the bag {v} | N+(v) and
+    hangs under the node for N+(v): the node of u, the first-eliminated
+    vertex of N+(v), if N+(v) is u's bag, else one node per distinct
+    separator, hung under u's node.  b and a share the root {a, b}.  In a
+    connected graph the subtree of each eliminated vertex spans a connected
+    part of the graph.  A node's parent belongs to a vertex eliminated
+    later, so one pass in reverse elimination order numbers the nodes
+    parents first."""
     if not g.has_edge(a, b):
         raise ValueError("a and b must be adjacent")
-    if td.width > 2:
-        raise ValueError("normalization needs width at most 2")
-    bags: dict[int, frozenset[int]] = {}
-    adj: dict[int, set[int]] = {}
-    ids = itertools.count()
-
-    def add(bag: frozenset[int]) -> int:
-        i = next(ids)
-        bags[i] = bag
-        adj[i] = set()
-        return i
-
-    def link(i: int, j: int) -> None:
-        adj[i].add(j)
-        adj[j].add(i)
-
-    def remove(i: int) -> None:
-        for x in adj.pop(i):
-            adj[x].discard(i)
-        bags.pop(i)
-
-    for bag in td.bags:
-        add(bag)
-    for i, j in td.edges:
-        link(i, j)
-    # root at the lowest-id bag {a, b}, inserting it if absent; nodes made
-    # later get higher ids, so dedupe never merges the root away
-    ab = frozenset({a, b})
-    root = next((i for i in bags if bags[i] == ab), None)
-    if root is None:
-        host = next(i for i in bags if ab <= bags[i])
-        root = add(ab)
-        link(root, host)
-
-    def split() -> bool:
-        """Replace every topmost subtree whose vertices induce a disconnected
-        part of g by one clone per component, each bag cut down to the
-        component.  The subtree vertex sets are built bottom-up, once."""
-        parent = search(adj, root)
-        children: dict[int, list[int]] = {i: [] for i in parent}
-        for i, p in parent.items():
-            if p is not None:
-                children[p].append(i)
-        below: dict[int, set[int]] = {}
-        for i in reversed(parent):  # children before parents
-            below[i] = set(bags[i]).union(*(below[c] for c in children[i]))
-        changed = False
-        for i in parent:  # parents first, so the nodes of a split subtree are gone
-            if i not in bags:
-                continue
-            comps = components(g.adj, below[i], below[i])
-            if len(comps) <= 1:
-                continue
-            assert i != root, "the whole graph is connected"
-            nodes = search(children, i)
-            for comp in sorted(comps, key=min):
-                clone = {j: add(bags[j].intersection(comp)) for j in nodes}
-                for j in nodes:
-                    for c in children[j]:
-                        link(clone[j], clone[c])
-                link(clone[i], parent[i])
-            for j in nodes:
-                remove(j)
-            changed = True
-        return changed
-
-    def nest() -> bool:
-        """Insert the intersection on every tree edge whose bags do not nest."""
-        changed = False
-        for i, p in search(adj, root).items():
-            if p is None or bags[i] <= bags[p] or bags[p] <= bags[i]:
-                continue
-            inter = bags[i] & bags[p]
-            assert inter, "adjacent bags of a connected graph must meet"
-            k = add(inter)
-            adj[i].discard(p)
-            adj[p].discard(i)
-            link(i, k)
-            link(k, p)
-            changed = True
-        return changed
-
-    def dedupe() -> bool:
-        """Merge every bag into the lowest-id node with the same bag: the
-        node's neighbours, except the one on the path to that node, move
-        over to it."""
-        first: dict[frozenset[int], int] = {}
-        changed = False
-        for i in sorted(bags):
-            keep = first.setdefault(bags[i], i)
-            if keep != i:
-                toward = search(adj, keep)[i]
-                for x in adj[i] - {toward}:
-                    link(x, keep)
-                remove(i)
-                changed = True
-        return changed
-
-    def drop() -> bool:
-        """Remove every non-root node whose bag is empty or equal to its
-        parent's, hanging its children from that parent."""
-        parent = search(adj, root)
-        changed = False
-        for i in list(parent):  # parents first
-            p = parent[i]
-            if p is None or (bags[i] and bags[i] != bags[p]):
-                continue
-            for x in adj[i] - {p}:
-                link(x, p)
-                parent[x] = p
-            remove(i)
-            changed = True
-        return changed
-
-    # split runs first, so the clones it makes are nested, merged and dropped
-    # in the same round; the list makes every pass run in every round
-    rounds = 0
-    while any([split(), nest(), dedupe(), drop()]):
-        rounds += 1
-        assert rounds <= len(td.bags) + g.n, "normalization did not converge"
-    # freeze, numbering the nodes parents first
-    parent = search(adj, root)
-    index = {old: i for i, old in enumerate(parent)}
-    dec = RootedDecomposition2CP(
-        tuple(bags[old] for old in parent),
-        tuple(-1 if p is None else index[p] for p in parent.values()),
-    )
+    order, width = _greedy_min_degree_order(g.adj, last=(b, a))
+    if width > 2:
+        raise ValueError("normalization needs treewidth at most 2")
+    pos = {v: i for i, v in enumerate(order)}
+    root = frozenset({a, b})
+    vbags = list(_td_from_order(g, order).bags)
+    vbags[-2:] = [root, root]
+    node = [0] * g.n  # the node of the vertex at each position
+    bags, parent = [root], [-1]
+    seps: dict[frozenset[int], int] = {}
+    for i in reversed(range(g.n - 2)):
+        sep = vbags[i] - {order[i]}
+        if not sep:
+            raise ValueError("normalization needs a connected graph")
+        u = min(pos[x] for x in sep)
+        if sep == vbags[u]:
+            p = node[u]
+        elif sep in seps:
+            p = seps[sep]
+        else:
+            p = seps[sep] = len(bags)
+            bags.append(sep)
+            parent.append(node[u])
+        node[i] = len(bags)
+        bags.append(vbags[i])
+        parent.append(p)
+    dec = RootedDecomposition2CP(tuple(bags), tuple(parent))
     dec.validate(g, a, b)
     return dec

@@ -270,16 +270,13 @@ def build_phi(
     in one pass, parents first; a 1-element bag {u} carries (u, u).  A pair
     asks for v -> A_i and not u -> B_i, and the converse holds because u
     and v are in the bag: so A_i is the literal v and B_i the literal not u.
-    Every other node gets two fresh variables.  The formula thus has
-    O(nodes) clauses besides two per same-coloured pair.
+    A head 3-bag needs nothing more, since the normal form attaches its
+    third vertex to both u and v by an edge or a 2-bag.  Every other node
+    gets two fresh variables.  The formula thus has O(nodes) clauses
+    besides two per same-coloured pair.
     """
     n = g.n
-    two_bags = {bag for bag in dec.bags if len(bag) == 2}
-
     clauses: list[tuple[int, int]] = [(a + 1, a + 1), (-(b + 1), -(b + 1))]
-
-    def attached(x: int, y: int) -> bool:
-        return g.has_edge(x, y) or frozenset({x, y}) in two_bags
 
     def imply(x: int, y: int) -> None:
         if x != y:
@@ -330,14 +327,6 @@ def build_phi(
         if p != -1:
             imply(reach[p][0], all_v1)
             imply(reach[p][1], all_v2)
-        if i in precut and len(bag) == 3:
-            (w,) = bag - {u, v}
-            if not attached(w, v):
-                clauses.append((-(w + 1), u + 1))
-                clauses.append((w + 1, -(u + 1)))
-            if not attached(w, u):
-                clauses.append((-(w + 1), v + 1))
-                clauses.append((w + 1, -(v + 1)))
     return TwoSatFormula(nvars, tuple(clauses))
 
 
@@ -398,12 +387,11 @@ def solve_2cp_treewidth2(g: ColouredGraph) -> Partition | None:
         return None
     if len(classes) == g.n:
         return (frozenset(range(g.n)),)
-    td = exact_tree_decomposition(g, 2)
-    if td is None:
+    if exact_tree_decomposition(g, 2) is None:
         raise UnsupportedInstanceError("solver requires treewidth at most 2")
     path = _shortest_same_colour_path(g, classes)
     for a, b in zip(path, path[1:]):
-        dec = normalize_for_2cp(td, g, a, b)
+        dec = normalize_for_2cp(g, a, b)
         assignment = two_sat_solve(build_phi(g, dec, a, b))
         if assignment is None:
             continue

@@ -72,6 +72,14 @@ def random_partial_2tree(rng: random.Random, n: int) -> list[Edge]:
     return sorted(kept)
 
 
+def k4_and_cycle(n: int) -> ColouredGraph:
+    """K4 on 0..3 and a cycle through 3 and the other n - 4 vertices, so
+    treewidth 3; every colour is used twice when n is even."""
+    edges = [(u, v) for u in range(4) for v in range(u + 1, 4)]
+    edges += [(v, v + 1) for v in range(3, n - 1)] + [(n - 1, 3)]
+    return ColouredGraph.build(n, tuple(v % (n // 2) + 1 for v in range(n)), edges)
+
+
 def _rooted_shape(root: int, parent: int, adj: list[list[int]]) -> str:
     subs = sorted(
         _rooted_shape(w, root, adj) for w in adj[root] if w != parent

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,8 @@ from colourful.cli import main
 from colourful.gadgets import gen_example1, reduce_nae3sat_pathwidth
 from colourful.decomposition import TreeDecomposition, serialize_td
 from colourful.graph import ColouredGraph, parse_instance, serialize_instance
+
+from helpers import k4_and_cycle
 
 FANO_ROW = "1 2 3 0\n"
 
@@ -90,6 +93,18 @@ def test_solve_exit_codes(tmp_path, capsys):
     # a route picked by --algo whose precondition fails
     code, _, err = run(capsys, "solve", "--algo", "tw2-2sat", wide)
     assert code == 3 and "use --k 2" in err
+
+
+def test_solve_k2_moves_on_from_a_width_three_graph_at_once(tmp_path, capsys):
+    # tw2-2sat's width gate must answer without a branch and bound: on this
+    # graph one grows about 4.5 times per two vertices
+    path = tmp_path / "k4cycle.cg"
+    path.write_text(serialize_instance(k4_and_cycle(30)))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "solve", "--k", "2", path)
+    assert time.perf_counter() - start < 2
+    assert code == 0
+    assert out.splitlines() == ["partition 2", "solver two-block-search"]
 
 
 def test_solve_long_path_without_recursion_limit(tmp_path, capsys):

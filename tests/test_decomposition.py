@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +16,12 @@ from colourful.decomposition import (
 )
 from colourful.graph import ColouredGraph, ParseError, UnsupportedInstanceError
 
-from helpers import random_coloured_graph, random_partial_2tree, random_tree_edges
+from helpers import (
+    k4_and_cycle,
+    random_coloured_graph,
+    random_partial_2tree,
+    random_tree_edges,
+)
 
 
 def cycle(n):
@@ -78,12 +84,15 @@ def test_decomposition_validates_on_random_graphs():
 
 
 def test_greedy_order_matches_min_scan():
-    def min_scan(adj):
+    def min_scan(adj, last=()):
         adj = [set(s) for s in adj]
-        alive = set(range(len(adj)))
+        alive = set(range(len(adj))) - set(last)
         order, width = [], 0
-        while alive:
-            v = min(alive, key=lambda u: (len(adj[u]), u))
+        while alive or last:
+            if alive:
+                v = min(alive, key=lambda u: (len(adj[u]), u))
+            else:
+                v, last = last[0], last[1:]
             width = max(width, len(adj[v]))
             for x in adj[v]:
                 adj[x] |= adj[v] - {x}
@@ -98,6 +107,9 @@ def test_greedy_order_matches_min_scan():
         g = random_coloured_graph(rng, n_max=40, extra_edges=40)
         adj = [set(s) for s in g.adj]
         assert _greedy_min_degree_order(adj) == min_scan(adj)
+        if g.m:
+            a, b = rng.choice(list(g.edges()))
+            assert _greedy_min_degree_order(adj, last=(b, a)) == min_scan(adj, (b, a))
 
 
 def test_uncertified_large_instances_raise():
@@ -107,7 +119,16 @@ def test_uncertified_large_instances_raise():
         n, tuple([1] * n), [(u, v) for u, v in g.edges()]
     )
     with pytest.raises(UnsupportedInstanceError):
-        exact_tree_decomposition(big, 2)
+        exact_tree_decomposition(big, 3)
+
+
+def test_greedy_decides_width_two_at_any_size():
+    """Min-degree elimination is exact up to width 2, so no branch and
+    bound runs: on this graph one grows about 4.5 times per two vertices."""
+    for n in (30, 300):
+        start = time.perf_counter()
+        assert exact_tree_decomposition(k4_and_cycle(n), 2) is None
+        assert time.perf_counter() - start < 2
 
 
 def test_validate_rejects_broken_decompositions():
@@ -216,32 +237,17 @@ def test_normal_form_invariants_hold_per_root_edge():
         n = rng.randint(40, 150)
         graphs.append(ColouredGraph.build(n, (1,) * n, random_partial_2tree(rng, n)))
     for g in graphs:
-        td = exact_tree_decomposition(g, 2)
-        for a, b in list(g.edges())[:4]:
+        for a, b in g.edges():
             for x, y in ((a, b), (b, a)):
-                dec = normalize_for_2cp(td, g, x, y)
-                dec.validate(g, x, y)
+                dec = normalize_for_2cp(g, x, y)  # ends with dec.validate(g, x, y)
                 assert dec.bags[dec.root] == frozenset({x, y})
+                assert len(dec.bags) <= 2 * g.n
 
 
-def test_normal_form_splits_a_subtree_into_three_clones():
-    """The subtree of node 4 holds vertices 2, 3 and 4, one leaf each, and no
-    edge between them: its vertices induce three components, so one split
-    makes three clones.  Node 4 repeats its parent's bag, the only way a
-    width-2 subtree of a connected graph can meet three components."""
-    g = ColouredGraph.build(10, tuple(range(1, 11)), [
-        (0, 1), (0, 2), (1, 2), (1, 3), (2, 8), (4, 8), (2, 9), (3, 9),
-        (2, 5), (3, 6), (4, 7),
-    ])
-    bags = [{0, 1}, {0, 1, 2}, {1, 2, 3}, {2, 3, 4}, {2, 3, 4}, {2, 4, 8},
-            {2, 5}, {3, 6}, {4, 7}, {2, 3, 9}]
-    td = TreeDecomposition(
-        tuple(map(frozenset, bags)),
-        ((0, 1), (1, 2), (2, 3), (3, 4), (3, 5), (4, 6), (4, 7), (4, 8), (3, 9)),
-    )
-    td.validate(g)
-    dec = normalize_for_2cp(td, g, 0, 1)
-    dec.validate(g, 0, 1)
+def test_normal_form_rejects_width_three():
+    g = k4_and_cycle(8)
+    with pytest.raises(ValueError, match="treewidth at most 2"):
+        normalize_for_2cp(g, 3, 4)
 
 
 def rooted(*nodes):
@@ -263,6 +269,10 @@ def test_rooted_form_validate_rejects_each_broken_rule():
         "numbered after its parent": (
             rooted(({0, 1}, -1), ({2}, 2), ({0, 1, 2}, 0), ({2, 3}, 1)), (0, 1)
         ),
+        # 3 shares neither an edge nor a 2-bag with 1
+        "not attached": (
+            rooted(*good[:2], ({1, 2}, 1), ({1, 2, 3}, 2)), (0, 1)
+        ),
     }
     for rule, (dec, (a, b)) in broken.items():
         with pytest.raises(ValueError, match=rule):
@@ -278,17 +288,18 @@ def test_rooted_form_validate_rejects_each_broken_rule():
 
 def test_normal_form_requires_adjacent_roots():
     g = ColouredGraph.build(3, (1, 2, 3), [(0, 1), (1, 2)])
-    td = exact_tree_decomposition(g, 2)
     with pytest.raises(ValueError):
-        normalize_for_2cp(td, g, 0, 2)
+        normalize_for_2cp(g, 0, 2)
+    g = ColouredGraph.build(3, (1, 2, 3), [(0, 1)])
+    with pytest.raises(ValueError, match="connected graph"):
+        normalize_for_2cp(g, 0, 1)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(3, 9))
 def test_normal_form_on_cycles(n):
-    """Cycles stress the duplicate/nesting rules: their natural width-2
-    decompositions chain overlapping triples."""
+    """A cycle's normal form chains each 3-bag through a 2-bag separator
+    node."""
     g = cycle(n)
-    td = exact_tree_decomposition(g, 2)
-    dec = normalize_for_2cp(td, g, 0, 1)
+    dec = normalize_for_2cp(g, 0, 1)
     dec.validate(g, 0, 1)

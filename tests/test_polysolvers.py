@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from colourful.decomposition import exact_tree_decomposition, normalize_for_2cp
+from colourful.decomposition import normalize_for_2cp
 from colourful.graph import (
     ColouredGraph,
     UnsupportedInstanceError,
@@ -288,11 +288,11 @@ def test_tw2_solver_rejects_a_thrice_used_colour_before_the_width_check():
 # ---------------------------------------------------------------------------
 
 
-def check_phi_models(g, td, a, b, outcomes):
+def check_phi_models(g, a, b, outcomes):
     """Fix every vertex but a and b by unit clauses: the formula must be
     satisfiable exactly when the fixed sides are two colourful blocks.
     Counts the satisfiable and unsatisfiable cases in `outcomes`."""
-    phi = build_phi(g, normalize_for_2cp(td, g, a, b), a, b)
+    phi = build_phi(g, normalize_for_2cp(g, a, b), a, b)
     rest = [v for v in range(g.n) if v not in (a, b)]
     for bits in range(1 << len(rest)):
         v1 = {a} | {v for j, v in enumerate(rest) if bits >> j & 1}
@@ -315,36 +315,33 @@ def test_phi_models_are_exactly_the_two_block_partitions():
             random_colours_with_repeats(rng, n, rng.randint(1, 3)),
             random_partial_2tree(rng, n),
         )
-        td = exact_tree_decomposition(g, 2)
         for a, b in rng.sample(list(g.edges()), min(3, g.m)):
             if rng.random() < 0.5:
                 a, b = b, a
-            check_phi_models(g, td, a, b, outcomes)
+            check_phi_models(g, a, b, outcomes)
     assert min(outcomes.values()) >= 50, outcomes
 
 
 def test_phi_keeps_a_head_vertex_with_the_only_pair_vertex_it_touches():
-    """Triangles {1, 2, 4} and {3, 5, 6} joined by the path 1 - 0 - 3.  The
-    greedy decomposition eliminates 0 first, so the root edge (0, 1) heads
-    the 3-bag {0, 1, 3}, and 3 reaches 1 only through 0.  The clauses that
-    `build_phi` writes for a head 3-bag with a vertex not `attached` to one
-    of its pair put 3 on 0's side: without them V1 = {0} would satisfy the
-    formula although it leaves 3 cut off from the rest of V2."""
+    """Triangles {1, 2, 4} and {3, 5, 6} joined by the path 1 - 0 - 3, so 3
+    reaches 1 only through 0.  A form with the head 3-bag {0, 1, 3} under
+    the root {0, 1} and no 2-bag {1, 3} would let V1 = {0} satisfy the
+    formula although it leaves 3 cut off from the rest of V2.  The normal
+    form for the root edge (0, 1) holds no such bag: it eliminates 0 and 1
+    last."""
     edges = [(0, 1), (0, 3), (1, 2), (1, 4), (2, 4), (3, 5), (3, 6), (5, 6)]
     g = ColouredGraph.build(7, tuple(range(1, 8)), edges)
-    td = exact_tree_decomposition(g, 2)
-    assert frozenset({0, 1, 3}) in td.bags
     outcomes = {True: 0, False: 0}
     for a, b in [(0, 1), (1, 0), (0, 3), (3, 0)]:
-        check_phi_models(g, td, a, b, outcomes)
+        check_phi_models(g, a, b, outcomes)
     assert min(outcomes.values()) > 0, outcomes
 
 
 def test_tw2_solver_on_a_graph_where_the_attached_clauses_decide():
     """Colours 1 and 5 are used twice, so 0 | 5 and 1 | 4 must be split.
-    The 3-bag {0, 1, 3} heads the root edge (0, 1), and 3 reaches 1 only
-    through 0; without the `attached` clauses of `build_phi` the solver's
-    formula accepts a split that leaves 3 cut off from its block."""
+    3 reaches 1 only through 0: a form with the head 3-bag {0, 1, 3} under
+    the root edge (0, 1) and no 2-bag {1, 3} would make the formula accept
+    a split that leaves 3 cut off from its block."""
     edges = [(0, 1), (0, 3), (1, 4), (2, 4), (2, 5), (3, 6), (3, 8), (4, 5),
              (4, 7), (6, 8)]
     g = ColouredGraph.build(9, (1, 5, 2, 3, 5, 1, 4, 6, 7), edges)
@@ -360,7 +357,7 @@ def test_phi_is_linear_in_the_decomposition():
     g = ColouredGraph.build(
         n, tuple(range(1, n)) + (1,), [(v, (v + 1) % n) for v in range(n)]
     )
-    dec = normalize_for_2cp(exact_tree_decomposition(g, 2), g, 0, 1)
+    dec = normalize_for_2cp(g, 0, 1)
     same_coloured_pairs = 1
     phi = build_phi(g, dec, 0, 1)
     assert len(phi.clauses) <= 12 * len(dec.bags) + 2 * same_coloured_pairs + 2
