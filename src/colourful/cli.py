@@ -9,12 +9,12 @@ witness, 2 unreadable or unparseable input, 3 no applicable solver.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
 import sys
 import time
-from concurrent import futures
 from pathlib import Path
 from typing import Callable
 
@@ -410,6 +410,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
             return _fail(EXIT_PARSE, f"error: bad manifest line: {line!r}")
         tasks.append((parts[0], parts[1], parts[2]))
     if args.jobs > 1 and tasks:
+        from concurrent import futures  # only `--jobs` needs it; it is slow to import
+
         with futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_bench_task, tasks))
     else:
@@ -472,7 +474,10 @@ def cmd_td(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and then shared:
+    `parse_args` keeps its results in a fresh namespace per call."""
     parser = argparse.ArgumentParser(
         prog="colourful",
         description="Exact solvers and instance generators for colourful "

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import combinations
+from typing import Iterable, Mapping, Sequence
 
 from .graph import (
     ColouredGraph,
     ParseError,
     UnsupportedInstanceError,
-    induces_connected,
     search,
 )
 
@@ -49,29 +49,11 @@ class TreeDecomposition:
                 raise ValueError(f"bad tree edge ({i},{j})")
         if len(self.edges) != k - 1:
             raise ValueError("tree must have exactly one fewer edge than nodes")
-        if len(search(self.neighbours(), 0)) != k:
+        up = search(self.neighbours(), 0)  # each node's parent
+        if len(up) != k:
             raise ValueError("tree of bags is not connected")
-        where: list[list[int]] = [[] for _ in range(g.n)]
-        for i, bag in enumerate(self.bags):
-            for v in bag:
-                if not 0 <= v < g.n:
-                    raise ValueError(f"bag vertex {v} out of range")
-                where[v].append(i)
-        if not all(where):
-            raise ValueError("bags do not cover the vertex set")
-        for u, v in g.edges():
-            x, y = (u, v) if len(where[u]) <= len(where[v]) else (v, u)
-            if not any(y in self.bags[i] for i in where[x]):
-                raise ValueError(f"edge ({u},{v}) not inside any bag")
-        # In a tree, a node set is connected iff it spans one edge fewer than
-        # it has nodes; count the tree edges whose two bags share a vertex.
-        spanned = [0] * g.n
-        for i, j in self.edges:
-            for v in self.bags[i] & self.bags[j]:
-                spanned[v] += 1
-        for v in range(g.n):
-            if spanned[v] != len(where[v]) - 1:
-                raise ValueError(f"bags containing vertex {v} are not connected")
+        up[0] = -1
+        _check_rooted_bags(g, self.bags, up)
 
     def is_path(self) -> bool:
         degs = [0] * len(self.bags)
@@ -79,6 +61,35 @@ class TreeDecomposition:
             degs[i] += 1
             degs[j] += 1
         return all(d <= 2 for d in degs)
+
+
+def _check_rooted_bags(
+    g: ColouredGraph,
+    bags: Sequence[frozenset[int]],
+    parent: Sequence[int] | Mapping[int, int],
+) -> None:
+    """Raise ValueError unless the bags are a tree decomposition of g on the
+    tree where node i hangs under parent[i], and the root under -1."""
+    # The nodes holding a vertex are connected iff exactly one of them, its
+    # top, has no parent holding it.
+    top = [-1] * g.n
+    for i, bag in enumerate(bags):
+        p = parent[i]
+        for v in bag if p == -1 else bag - bags[p]:
+            if not 0 <= v < g.n:
+                raise ValueError(f"bag vertex {v} out of range")
+            if top[v] != -1:
+                raise ValueError(f"bags containing vertex {v} are not connected")
+            top[v] = i
+    if -1 in top:
+        raise ValueError("bags do not cover the vertex set")
+    # Two such subtrees meet iff one's top lies in the other, and then that
+    # top holds both vertices.
+    for x, i in enumerate(top):
+        for y in g.adj[x] - bags[i]:
+            if x not in bags[top[y]]:
+                u, v = sorted((x, y))
+                raise ValueError(f"edge ({u},{v}) not inside any bag")
 
 
 def parse_td(text: str) -> TreeDecomposition:
@@ -139,19 +150,23 @@ def _eliminate(adj: list[set[int]], v: int) -> set[int]:
     neigh = adj[v]
     adj[v] = set()
     for x in neigh:
-        adj[x] |= neigh
-        adj[x] -= {x, v}
+        ax = adj[x]
+        ax |= neigh
+        ax.discard(x)
+        ax.discard(v)
     return neigh
 
 
 def _greedy_min_degree_order(
     adj: Sequence[Iterable[int]], last: Sequence[int] = ()
-) -> tuple[list[int], int]:
-    """Min-degree elimination ordering (ties to the smaller vertex) and the
-    width it achieves.  A heap holds (degree, vertex) entries; a vertex is
-    pushed again whenever its degree changes, and entries of eliminated
-    vertices or of outdated degrees are skipped.  The vertices in `last`
-    stay out of the heap and are eliminated at the end, in that order."""
+) -> tuple[list[int], int, list[set[int]]]:
+    """Min-degree elimination ordering (ties to the smaller vertex), the
+    width it achieves, and each eliminated vertex's separator N+(v), the
+    neighbours it has when eliminated.  A heap holds (degree, vertex)
+    entries; a vertex is pushed again whenever its degree changes, and
+    entries of eliminated vertices or of outdated degrees are skipped.  The
+    vertices in `last` stay out of the heap and are eliminated at the end,
+    in that order."""
     adj = [set(s) for s in adj]
     eliminated = [False] * len(adj)
     for v in last:
@@ -159,6 +174,7 @@ def _greedy_min_degree_order(
     heap = [(len(s), v) for v, s in enumerate(adj) if not eliminated[v]]
     heapq.heapify(heap)
     order = []
+    seps = []
     width = 0
     while heap:
         degree, v = heapq.heappop(heap)
@@ -168,12 +184,15 @@ def _greedy_min_degree_order(
         neigh = _eliminate(adj, v)
         eliminated[v] = True
         order.append(v)
+        seps.append(neigh)
         for x in neigh:
             heapq.heappush(heap, (len(adj[x]), x))
     for v in last:
-        width = max(width, len(_eliminate(adj, v)))
+        neigh = _eliminate(adj, v)
+        width = max(width, len(neigh))
         order.append(v)
-    return order, width
+        seps.append(neigh)
+    return order, width, seps
 
 
 def _order_decision(adj: list[set[int]], max_width: int) -> list[int] | None:
@@ -216,25 +235,25 @@ def _order_decision(adj: list[set[int]], max_width: int) -> list[int] | None:
     return search(adj, frozenset(range(n)), 0)
 
 
-def _td_from_order(g: ColouredGraph, order: list[int]) -> TreeDecomposition:
+def _td_from_seps(order: list[int], seps: list[set[int]]) -> TreeDecomposition:
+    """The tree decomposition of an elimination ordering, from each
+    vertex's separator N+(v): v's bag is {v} | N+(v), under the bag of the
+    first-eliminated vertex of N+(v)."""
     pos = {v: i for i, v in enumerate(order)}
-    adj = [set(s) for s in g.adj]
-    bags: list[frozenset[int]] = []
-    fill_neigh: list[set[int]] = []
-    for v in order:
-        neigh = _eliminate(adj, v)
-        bags.append(frozenset(neigh | {v}))
-        fill_neigh.append(neigh)
+    bags = tuple(frozenset(sep | {v}) for v, sep in zip(order, seps))
     edges = []
-    for i, v in enumerate(order):
-        if fill_neigh[i]:
-            j = min(pos[u] for u in fill_neigh[i])
-            edges.append((i, j))
+    for i, sep in enumerate(seps):
+        if sep:
+            edges.append((i, min(pos[u] for u in sep)))
         elif i + 1 < len(order):
             # isolated at elimination time: hang the bag anywhere
             edges.append((i, i + 1))
-    td = TreeDecomposition(tuple(bags), tuple(edges))
-    return td
+    return TreeDecomposition(bags, tuple(edges))
+
+
+def _td_from_order(g: ColouredGraph, order: list[int]) -> TreeDecomposition:
+    adj = [set(s) for s in g.adj]
+    return _td_from_seps(order, [_eliminate(adj, v) for v in order])
 
 
 def exact_tree_decomposition(
@@ -252,9 +271,9 @@ def exact_tree_decomposition(
     """
     if g.n == 0:
         return TreeDecomposition((frozenset(),), ())
-    order, width = _greedy_min_degree_order(g.adj)
+    order, width, seps = _greedy_min_degree_order(g.adj)
     if width <= max_width:
-        td = _td_from_order(g, order)
+        td = _td_from_seps(order, seps)
         assert td.width <= max_width
         return td
     if max_width <= 2:
@@ -449,16 +468,26 @@ class RootedDecomposition2CP:
         for i, p in enumerate(self.parent[1:], 1):
             if not 0 <= p < i:
                 raise ValueError(f"node {i} is not numbered after its parent")
-        self.as_tree().validate(g)
+        _check_rooted_bags(g, self.bags, self.parent)
         if self.bags[0] != frozenset({a, b}):
             raise ValueError("root bag must be {a, b}")
         if len(set(self.bags)) != len(self.bags):
             raise ValueError("bags must be pairwise distinct")
+        if max(map(len, self.bags)) > 3:
+            raise ValueError("bags must hold at most 3 vertices")
+        # Children first, so every child's subtree is already known to be
+        # connected when its parent is checked; see `_joins_subtrees`.
+        # A child whose subtree holds no vertex adds nothing to its parent's.
+        overlaps: list[list[frozenset[int]]] = [[] for _ in self.bags]
+        for i in reversed(range(len(self.bags))):
+            if not _joins_subtrees(g, self.bags[i], overlaps[i]):
+                raise ValueError(f"subtree of node {i} spans a disconnected part")
+            if i and (self.bags[i] or overlaps[i]):
+                p = self.parent[i]
+                overlaps[p].append(self.bags[i] & self.bags[p])
         two_bags = {bag for bag in self.bags if len(bag) == 2}
-        subtree = [set(bag) for bag in self.bags]
-        for i in reversed(range(1, len(self.bags))):
-            p = self.parent[i]
-            bi, bp = self.bags[i], self.bags[p]
+        for i in range(1, len(self.bags)):
+            bi, bp = self.bags[i], self.bags[self.parent[i]]
             if not (bi < bp or bp < bi):
                 raise ValueError(f"bags of {i} and its parent do not strictly nest")
             if len(bi) == 3 and len(bp) == 2:
@@ -467,10 +496,32 @@ class RootedDecomposition2CP:
                     raise ValueError(
                         f"vertex {w} of node {i} is not attached to its parent's bag"
                     )
-            subtree[p] |= subtree[i]
-        for i, vs in enumerate(subtree):
-            if vs and not induces_connected(g, frozenset(vs)):
-                raise ValueError(f"subtree of node {i} spans a disconnected part")
+
+
+def _joins_subtrees(
+    g: ColouredGraph, bag: frozenset[int], overlaps: list[frozenset[int]]
+) -> bool:
+    """Whether a node's subtree spans a connected part of g, given its bag
+    of at most 3 vertices and, for each child c whose subtree holds a
+    vertex, the overlap bag(c) & bag; the children's subtrees must be
+    connected, and the tree a tree decomposition of g.
+
+    A vertex of sub(c) outside the bag lies in no bag outside c's subtree,
+    and neither does any graph edge at it; so sub(c) meets the rest of the
+    subtree only in the overlap.  The subtree is therefore connected iff the
+    overlaps and the graph edges inside the bag join the bag into one group.
+    A child with an empty overlap is cut off unless it is all there is.  Of
+    at most 3 vertices, any |bag| - 1 distinct pairs join them all."""
+    if not all(overlaps):
+        return not bag and len(overlaps) == 1
+    if bag in overlaps:  # a child holds the whole bag
+        return True
+    linked = sum(
+        1
+        for u, v in combinations(bag, 2)
+        if v in g.adj[u] or frozenset((u, v)) in overlaps
+    )
+    return linked >= len(bag) - 1
 
 
 def normalize_for_2cp(g: ColouredGraph, a: int, b: int) -> RootedDecomposition2CP:
@@ -490,27 +541,27 @@ def normalize_for_2cp(g: ColouredGraph, a: int, b: int) -> RootedDecomposition2C
     parents first."""
     if not g.has_edge(a, b):
         raise ValueError("a and b must be adjacent")
-    order, width = _greedy_min_degree_order(g.adj, last=(b, a))
+    order, width, seps = _greedy_min_degree_order(g.adj, last=(b, a))
     if width > 2:
         raise ValueError("normalization needs treewidth at most 2")
     pos = {v: i for i, v in enumerate(order)}
     root = frozenset({a, b})
-    vbags = list(_td_from_order(g, order).bags)
-    vbags[-2:] = [root, root]
+    vbags = [root] * g.n  # the bag of the vertex at each position
     node = [0] * g.n  # the node of the vertex at each position
     bags, parent = [root], [-1]
-    seps: dict[frozenset[int], int] = {}
+    sep_node: dict[frozenset[int], int] = {}
     for i in reversed(range(g.n - 2)):
-        sep = vbags[i] - {order[i]}
+        sep = frozenset(seps[i])
         if not sep:
             raise ValueError("normalization needs a connected graph")
         u = min(pos[x] for x in sep)
+        vbags[i] = sep | {order[i]}
         if sep == vbags[u]:
             p = node[u]
-        elif sep in seps:
-            p = seps[sep]
+        elif sep in sep_node:
+            p = sep_node[sep]
         else:
-            p = seps[sep] = len(bags)
+            p = sep_node[sep] = len(bags)
             bags.append(sep)
             parent.append(node[u])
         node[i] = len(bags)

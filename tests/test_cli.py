@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import colourful
+from colourful import cli
 from colourful.cli import main
 from colourful.gadgets import gen_example1, reduce_nae3sat_pathwidth
 from colourful.decomposition import TreeDecomposition, serialize_td
@@ -305,6 +306,43 @@ def test_bench_empty_manifest(tmp_path, capsys):
              "status"]
         )
     ]
+
+
+def test_repeated_main_calls_in_one_process_share_no_state(
+    example1_file, tmp_path, capsys, monkeypatch
+):
+    # `main` keeps one parser per process; each call must still behave as if
+    # it had a parser of its own
+    sol = tmp_path / "k2.sol"
+    k2 = ("solve", example1_file, "--k", "2", "-o", sol)
+    plain = ("solve", example1_file)
+
+    def fresh(*argv):
+        cli.build_parser.cache_clear()
+        return run(capsys, *argv)
+
+    expected_k2 = fresh(*k2)
+    sol.unlink()
+    expected_plain = fresh(*plain)
+    assert expected_k2[0] == expected_plain[0] == 0
+    assert expected_k2[1] != expected_plain[1]  # the routes differ
+
+    assert run(capsys, *k2) == expected_k2
+    assert sol.exists()
+    sol.unlink()
+    # neither --k nor -o carries over from the call before
+    assert run(capsys, *plain) == expected_plain
+    assert not sol.exists()
+
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", str(example1_file), "--k", "two"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, *k2) == expected_k2
+
+    monkeypatch.setattr(sys, "argv", ["colourful", *map(str, plain)])
+    assert main() == 0
+    assert capsys.readouterr().out == expected_plain[1]
 
 
 def run_console(*argv, timeout=None):

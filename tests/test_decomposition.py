@@ -14,7 +14,15 @@ from colourful.decomposition import (
     serialize_td,
     to_nice,
 )
-from colourful.graph import ColouredGraph, ParseError, UnsupportedInstanceError
+from colourful import decomposition as decomposition_module
+from colourful import graph as graph_module
+from colourful.graph import (
+    ColouredGraph,
+    ParseError,
+    UnsupportedInstanceError,
+    induces_connected,
+    search,
+)
 
 from helpers import (
     k4_and_cycle,
@@ -87,7 +95,7 @@ def test_greedy_order_matches_min_scan():
     def min_scan(adj, last=()):
         adj = [set(s) for s in adj]
         alive = set(range(len(adj))) - set(last)
-        order, width = [], 0
+        order, width, seps = [], 0, []
         while alive or last:
             if alive:
                 v = min(alive, key=lambda u: (len(adj[u]), u))
@@ -98,9 +106,10 @@ def test_greedy_order_matches_min_scan():
                 adj[x] |= adj[v] - {x}
                 adj[x].discard(v)
             alive.discard(v)
+            seps.append(adj[v])
             adj[v] = set()
             order.append(v)
-        return order, width
+        return order, width, seps
 
     rng = random.Random(6)
     for _ in range(150):
@@ -168,6 +177,41 @@ def test_validate_rejects_broken_decompositions():
     )
     with pytest.raises(ValueError, match="out of range"):
         bad.validate(g)
+
+
+def spanning_rule_holds(g, td):
+    """The rule `TreeDecomposition.validate` used before it rooted the tree:
+    every vertex and edge in some bag, and each vertex's bags spanning one
+    tree edge fewer than their number."""
+    where = [[i for i, bag in enumerate(td.bags) if v in bag] for v in range(g.n)]
+    if not all(where) or not all(
+        any(v in td.bags[i] for i in where[u]) for u, v in g.edges()
+    ):
+        return False
+    spanned = [0] * g.n
+    for i, j in td.edges:
+        for v in td.bags[i] & td.bags[j]:
+            spanned[v] += 1
+    return all(spanned[v] == len(where[v]) - 1 for v in range(g.n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_rooted_bag_check_matches_the_spanning_rule(seed):
+    rng = random.Random(seed)
+    g = random_coloured_graph(rng, n_max=8)
+    td = exact_tree_decomposition(g, g.n)
+    bags = list(td.bags)
+    for _ in range(rng.randint(0, 2)):  # add or drop a vertex in a bag
+        i, v = rng.randrange(len(bags)), rng.randrange(g.n)
+        bags[i] = bags[i] ^ {v}
+    td = TreeDecomposition(tuple(bags), td.edges)
+    try:
+        td.validate(g)
+    except ValueError:
+        assert not spanning_rule_holds(g, td)
+    else:
+        assert spanning_rule_holds(g, td)
 
 
 def test_td_text_round_trip():
@@ -269,6 +313,7 @@ def test_rooted_form_validate_rejects_each_broken_rule():
         "numbered after its parent": (
             rooted(({0, 1}, -1), ({2}, 2), ({0, 1, 2}, 0), ({2, 3}, 1)), (0, 1)
         ),
+        "at most 3 vertices": (rooted(*good[:1], ({0, 1, 2, 3}, 0)), (0, 1)),
         # 3 shares neither an edge nor a 2-bag with 1
         "not attached": (
             rooted(*good[:2], ({1, 2}, 1), ({1, 2, 3}, 2)), (0, 1)
@@ -284,6 +329,102 @@ def test_rooted_form_validate_rejects_each_broken_rule():
     dec.as_tree().validate(path)
     with pytest.raises(ValueError, match="disconnected"):
         dec.validate(path, 0, 1)
+    # on the edges 0-1 and 2-3: a 3-bag that only one pair links, and a child
+    # that shares no vertex with its parent's one-vertex bag
+    two_edges = ColouredGraph.build(4, (1, 2, 3, 4), [(0, 1), (2, 3)])
+    for dec in (
+        rooted(({0, 1}, -1), ({0, 1, 2}, 0), ({2, 3}, 1)),
+        rooted(({0, 1}, -1), ({1}, 0), ({2, 3}, 1)),
+    ):
+        dec.as_tree().validate(two_edges)
+        with pytest.raises(ValueError, match="disconnected"):
+            dec.validate(two_edges, 0, 1)
+
+
+def outerplanar(rng, n):
+    """The cycle 0, 1, ..., n-1 plus a random part of a random triangulation
+    of it: a connected outerplanar graph, so of treewidth at most 2."""
+    edges = {(v, v + 1) for v in range(n - 1)} | {(0, n - 1)}
+    spans = [(0, n - 1)]
+    while spans:
+        lo, hi = spans.pop()
+        if hi - lo < 2:
+            continue
+        mid = rng.randrange(lo + 1, hi)
+        for u, v in ((lo, mid), (mid, hi)):
+            if rng.random() < 0.5:
+                edges.add((u, v))
+            spans.append((u, v))
+    return ColouredGraph.build(n, (1,) * n, sorted(edges))
+
+
+def disconnected_by_old_rule(g, dec):
+    """The per-node rule `validate` used before: one graph search over each
+    subtree's vertex set."""
+    subtree = [set(bag) for bag in dec.bags]
+    for i in reversed(range(1, len(dec.bags))):
+        subtree[dec.parent[i]] |= subtree[i]
+    return any(vs and not induces_connected(g, frozenset(vs)) for vs in subtree)
+
+
+def agrees_with_old_rule(g, dec, a, b):
+    """On a tree decomposition, `validate` reports a disconnected subtree
+    exactly when the old rule finds one: it checks connectivity right after
+    the tree, the root bag, distinctness and bag sizes.  Returns whether it
+    did, or None when the form is no tree decomposition."""
+    try:
+        dec.as_tree().validate(g)
+    except ValueError:
+        with pytest.raises(ValueError):
+            dec.validate(g, a, b)
+        return None
+    expected = disconnected_by_old_rule(g, dec)
+    try:
+        dec.validate(g, a, b)
+    except ValueError as exc:
+        assert ("disconnected" in str(exc)) == expected, exc
+    else:
+        assert not expected
+    return expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 12), st.integers(0, 2**32 - 1))
+def test_subtree_check_matches_the_per_node_search(n, seed):
+    rng = random.Random(seed)
+    g = outerplanar(rng, n)
+    for a, b in g.edges():
+        for x, y in ((a, b), (b, a)):
+            dec = normalize_for_2cp(g, x, y)
+            assert agrees_with_old_rule(g, dec, x, y) is False
+            # re-hang one leaf under another node numbered before it
+            leaves = [i for i in range(1, len(dec.bags)) if i not in dec.parent]
+            leaf = rng.choice(leaves)
+            new_parent = rng.choice(
+                [p for p in range(leaf) if p != dec.parent[leaf]] or [0]
+            )
+            parent = list(dec.parent)
+            parent[leaf] = new_parent
+            agrees_with_old_rule(
+                g, RootedDecomposition2CP(dec.bags, tuple(parent)), x, y
+            )
+
+
+def test_subtree_check_makes_a_constant_number_of_searches(monkeypatch):
+    g = cycle(2000)
+    dec = normalize_for_2cp(g, 0, 1)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(graph_module, "search", counted)
+    monkeypatch.setattr(decomposition_module, "search", counted)
+    dec.validate(g, 0, 1)
+    # the per-node rule made one search per node
+    assert len(dec.bags) > 3000
+    assert len(calls) <= 2
 
 
 def test_normal_form_requires_adjacent_roots():
