@@ -46,6 +46,7 @@ from .graph import (
     parse_solution,
     serialize_instance,
     serialize_solution,
+    solve_by_component,
 )
 from .oracle import (
     brute_min_deletions,
@@ -162,17 +163,24 @@ def _solve_with(
     nice: NiceTreeDecomposition | None = None,
     max_colours: int = 6,
 ) -> SolveResult | None:
-    """Run one route, or under `auto` the first in `ROUTES` that applies.
+    """Run one route, or under `auto` the first in `ROUTES` that applies, on
+    each connected component.  A supplied decomposition and the two-block
+    question, which does not add up over components, take the whole graph.
     Returns None only when no two-block partition exists."""
-    if algo != "auto":
-        return ROUTES[algo](g, problem, k, nice, max_colours)
-    reasons = []
-    for name, route in ROUTES.items():
-        try:
-            return route(g, problem, k, nice, max_colours)
-        except UnsupportedInstanceError as exc:
-            reasons.append(f"{name}: {exc}")
-    raise UnsupportedInstanceError("; ".join(reasons))
+    routes = ROUTES if algo == "auto" else {algo: ROUTES[algo]}
+
+    def solve(part: ColouredGraph) -> SolveResult | None:
+        reasons = []
+        for name, route in routes.items():
+            try:
+                return route(part, problem, k, nice, max_colours)
+            except UnsupportedInstanceError as exc:
+                reasons.append(f"{name}: {exc}")
+        raise UnsupportedInstanceError("; ".join(reasons))
+
+    if nice is not None or (problem == "partition" and k == 2):
+        return solve(g)
+    return solve_by_component(g, problem, solve)
 
 
 def cmd_solve(args: argparse.Namespace) -> int:

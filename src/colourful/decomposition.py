@@ -19,6 +19,7 @@ from .graph import (
     ColouredGraph,
     ParseError,
     UnsupportedInstanceError,
+    _content_lines,
     search,
 )
 
@@ -93,11 +94,7 @@ def _check_rooted_bags(
 
 
 def parse_td(text: str) -> TreeDecomposition:
-    lines = [
-        ln.split("#", 1)[0].split()
-        for ln in text.splitlines()
-        if ln.split("#", 1)[0].strip()
-    ]
+    lines = list(_content_lines(text))
     if not lines or lines[0][0] != "td" or len(lines[0]) != 3:
         raise ParseError("decomposition must start with 'td <nodes> <width>'")
     try:

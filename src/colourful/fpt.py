@@ -17,12 +17,12 @@ from .graph import (
     SolveResult,
     UnsupportedInstanceError,
     canonical_partition,
-    connected_components,
     induces_connected,
     is_colourful_partition,
     is_valid_deletion_set,
     norm_edge,
     search,
+    solve_by_component,
 )
 from .polysolvers import hopcroft_karp
 
@@ -49,8 +49,6 @@ EMPTY_KEY: Key = ()
 # parts merged with the new vertex), ("f", child key, index of the forgotten
 # vertex's part) and ("j", left key, right key).
 Moves = Iterable[tuple[Key, int, tuple]]
-# Per component of the graph, the mask of the colours that die at a node.
-Dying = dict[int, int]
 
 
 def _find(link: list[int], x: int) -> int:
@@ -75,8 +73,8 @@ def _members(mask: int) -> Iterator[int]:
 class _Bits:
     """The bit tables of one DP run.  Colours are remapped to dense ranks,
     so forgotten-colour masks stay small whatever the colour ids.  Per
-    vertex: its colour bit, its neighbour mask and its connected component;
-    per bag block, its colour mask; per node, the colours dying there."""
+    vertex: its colour bit and its neighbour mask; per bag block, its colour
+    mask; per node, the mask of the colours dying there."""
 
     def __init__(
         self, g: ColouredGraph, nice: NiceTreeDecomposition, order: list[int]
@@ -86,19 +84,12 @@ class _Bits:
         self.live = (1 << self.ncol) - 1
         self.colour = [1 << rank[c] for c in g.colours]
         self.nbrs = [sum(1 << w for w in adj) for adj in g.adj]
-        self.comp = [0] * g.n
-        for i, cls in enumerate(connected_components(g)):
-            for v in cls:
-                self.comp[v] = i
         # A label names a set of part indices, and a key has at most one
         # part per bag vertex, so labels fit in this many bits.
         self.label_span = 1 << max(map(len, nice.bags))
         self.dying = self._dying(nice, order)
         self._colours: dict[int, int] = {}
         self._plans: dict[tuple[tuple[int, ...], tuple[int, ...]], list | None] = {}
-
-    def component(self, part: int) -> int:
-        return self.comp[(part & -part).bit_length() - 1]
 
     def colours(self, part: int) -> int:
         """The colour mask of a bag block, or -1 if it is not colourful."""
@@ -135,40 +126,34 @@ class _Bits:
             self._plans[pair] = plan if all(m >= 0 for _, m, _ in plan) else None
         return self._plans[pair]
 
-    def _dying(
-        self, nice: NiceTreeDecomposition, order: list[int]
-    ) -> dict[int, Dying]:
-        """A colour dies in a component at the lowest common ancestor of the
-        forget nodes of its vertices there, which is that of the first and
-        the last of them in postorder.  One postorder pass finds it: a
-        union-find links each node to its parent once the parent is reached,
-        so a finished node's set is rooted at its highest finished ancestor
-        h, and the ancestor it shares with the current node is that node
-        itself if h is it, and otherwise the parent of h."""
+    def _dying(self, nice: NiceTreeDecomposition, order: list[int]) -> dict[int, int]:
+        """A colour dies at the lowest common ancestor of the forget nodes of
+        all its vertices, which is that of the first and the last of them in
+        postorder.  One postorder pass finds it: a union-find links each node
+        to its parent once the parent is reached, so a finished node's set is
+        rooted at its highest finished ancestor h, and the ancestor it shares
+        with the current node is that node itself if h is it, and otherwise
+        the parent of h."""
         up = [-1] * len(nice.bags)
         for node, kids in enumerate(nice.children):
             for child in kids:
                 up[child] = node
         link = list(range(len(nice.bags)))
-        left: dict[tuple[int, int], int] = {}
-        for v, comp in enumerate(self.comp):
-            pair = (comp, self.colour[v])
-            left[pair] = left.get(pair, 0) + 1
-        first: dict[tuple[int, int], int] = {}
-        dying: dict[int, Dying] = {}
+        left = Counter(self.colour)
+        first: dict[int, int] = {}
+        dying: dict[int, int] = {}
         for node in order:
             for child in nice.children[node]:
                 link[child] = node
             if nice.kind[node] != "forget":
                 continue
-            v = nice.delta[node]
-            pair = (self.comp[v], self.colour[v])
-            first.setdefault(pair, node)
-            left[pair] -= 1
-            if left[pair] == 0:
-                top = _find(link, first[pair])
-                at = dying.setdefault(node if top == node else up[top], {})
-                at[pair[0]] = at.get(pair[0], 0) | pair[1]
+            colour = self.colour[nice.delta[node]]
+            first.setdefault(colour, node)
+            left[colour] -= 1
+            if left[colour] == 0:
+                top = _find(link, first[colour])
+                at = node if top == node else up[top]
+                dying[at] = dying.get(at, 0) | colour
         return dying
 
 
@@ -189,7 +174,7 @@ def _tree_dp(
     nice: NiceTreeDecomposition,
     introduce: Callable[[_Bits, int, int, Table], Moves],
     join: Callable[[_Bits, int, Table, Table], Moves],
-    project: Callable[[_Bits, Key, Dying | None], Key],
+    project: Callable[[_Bits, Key, int], Key],
 ) -> tuple[int, dict[int, dict[Key, tuple]], dict[str, int]]:
     """Bottom-up minimisation over the nice decomposition: each node keeps,
     per key, the least value of the moves reaching it and the first move
@@ -220,8 +205,8 @@ def _tree_dp(
             bag = bags.pop(kids[0]) ^ 1 << v
             step = introduce if kind == "introduce" else _forget
             moves = step(bits, v, bag, tables.pop(kids[0]))
-        dying = bits.dying.get(node)
-        projected = dying is not None or not labelled.isdisjoint(kids)
+        dying = bits.dying.get(node, 0)
+        projected = dying != 0 or not labelled.isdisjoint(kids)
         if projected:
             moves = ((project(bits, key, dying), val, info) for key, val, info in moves)
         table: Table = {}
@@ -353,7 +338,7 @@ def _partition_join(bits: _Bits, bag: int, left: Table, right: Table) -> Moves:
                         yield key, lval + rval + delta, ("j", lkey, rkey)
 
 
-def _partition_project(bits: _Bits, key: Key, dying: Dying | None) -> Key:
+def _partition_project(bits: _Bits, key: Key, dying: int) -> Key:
     """Parts can still merge, so a dead colour held by two or more parts
     still forbids merging them.  Where one part holds it, drop it;
     otherwise replace it by the label of its set of holders, bit
@@ -366,13 +351,12 @@ def _partition_project(bits: _Bits, key: Key, dying: Dying | None) -> Key:
     holders: dict[int, int] = {}
     out = []
     for i, (part, rho) in enumerate(key):
-        dead = rho & dying.get(bits.component(part), 0) if dying else 0
-        tags = rho & ~live | dead
+        tags = rho & (~live | dying)
         while tags:
             low = tags & -tags
             holders[low] = holders.get(low, 0) | 1 << i
             tags ^= low
-        out.append([part, rho & live & ~dead])
+        out.append([part, rho & live & ~dying])
     for held in set(holders.values()):
         if held & (held - 1):
             label = 1 << (bits.ncol + held)
@@ -405,15 +389,13 @@ def dp_partition(
 
 
 def _components_introduce(bits: _Bits, v: int, bag: int, table: Table) -> Moves:
-    """v joins one class of its component of the graph that lacks its
-    colour, or opens a new class; each edge from v to another class in the
-    bag is deleted.  Splitting a class along the components of the graph
-    never costs a deletion, so classes stay inside one component."""
-    vbit, colour, comp = 1 << v, bits.colour[v], bits.comp[v]
+    """v joins one class that lacks its colour, or opens a new class; each
+    edge from v to another class in the bag is deleted."""
+    vbit, colour = 1 << v, bits.colour[v]
     bag_nbrs = bits.nbrs[v] & bag
     for ckey, cval in table.items():
         for i, (part, rho) in enumerate(ckey):
-            if (rho | bits.colours(part)) & colour or bits.component(part) != comp:
+            if (rho | bits.colours(part)) & colour:
                 continue
             key = list(ckey)
             del key[i]
@@ -446,14 +428,11 @@ def _components_join(bits: _Bits, bag: int, left: Table, right: Table) -> Moves:
             yield key, lval + rval - cut[parts], ("j", lkey, rkey)
 
 
-def _components_project(bits: _Bits, key: Key, dying: Dying | None) -> Key:
-    """Classes never merge, so a dead colour leaves every part of its
-    component."""
+def _components_project(bits: _Bits, key: Key, dying: int) -> Key:
+    """Classes never merge, so a dead colour leaves every part."""
     if not dying:
         return key
-    return tuple(
-        (part, rho & ~dying.get(bits.component(part), 0)) for part, rho in key
-    )
+    return tuple((part, rho & ~dying) for part, rho in key)
 
 
 def dp_components(
@@ -767,7 +746,7 @@ def _solve_nonunique_connected(
     of blocks from below."""
     q = len(q_vertices)
     if q == 0:
-        return [set(range(g.n))]
+        return [set(range(g.n))] if g.n else []
     if lower < q:
         if q > max_q:
             raise UnsupportedInstanceError(
@@ -802,24 +781,17 @@ def solve_partition_nonunique(
     (grow one block around each), so only budgets below q need the search
     over seed partitions plus disjoint-connected-subgraphs instances.
     """
-    blocks: list[frozenset[int]] = []
-    worst_q = 0
-    comps = connected_components(g)
-    for comp in comps:
-        order = sorted(comp)
-        sub = g.subgraph(order)
+
+    def solve(sub: ColouredGraph) -> SolveResult:
         counts = Counter(sub.colours)
         q_vertices = [v for v in range(sub.n) if counts[sub.colours[v]] >= 2]
-        worst_q = max(worst_q, len(q_vertices))
-        lower = max(counts.values())
-        for blk in _solve_nonunique_connected(sub, q_vertices, lower, max_q, dcs_cap):
-            blocks.append(frozenset(order[v] for v in blk))
-    witness = canonical_partition(blocks)
-    assert is_colourful_partition(g, witness)
-    return SolveResult(
-        "partition",
-        len(witness),
-        witness,
-        "nonunique-colours",
-        {"q": worst_q, "components": len(comps)},
-    )
+        lower = max(counts.values(), default=0)
+        blocks = _solve_nonunique_connected(sub, q_vertices, lower, max_q, dcs_cap)
+        witness = canonical_partition(blocks)
+        return SolveResult(
+            "partition", len(witness), witness, "nonunique-colours", {"q": len(q_vertices)}
+        )
+
+    result = solve_by_component(g, "partition", solve)
+    assert is_colourful_partition(g, result.witness)
+    return result

@@ -10,9 +10,10 @@ whose removal leaves every connected component colourful.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Container, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
 
 Edge = tuple[int, int]
 Partition = tuple[frozenset[int], ...]
@@ -236,8 +237,10 @@ class SolveResult:
 
     ``problem`` is ``"partition"`` or ``"components"``; ``witness`` is a
     Partition or an EdgeSet accordingly; ``solver`` names the algorithm that
-    produced it.  ``stats`` carries solver-specific counters (table keys,
-    search nodes, ...) for benchmarking.
+    produced it, or the distinct algorithms joined by ``+`` in component
+    order when ``solve_by_component`` solved the components apart.
+    ``stats`` carries solver-specific counters (table keys, search nodes,
+    ...) for benchmarking, summed over those components.
     """
 
     problem: str
@@ -245,6 +248,36 @@ class SolveResult:
     witness: Partition | EdgeSet
     solver: str
     stats: dict = field(default_factory=dict, compare=False)
+
+
+def solve_by_component(
+    g: ColouredGraph, problem: str, solve: Callable[[ColouredGraph], SolveResult]
+) -> SolveResult:
+    """Solve ``problem`` on g one connected component at a time, since both
+    optima add up over components.  A connected graph goes to ``solve`` as
+    it is; otherwise each component's induced subgraph does, and the
+    witnesses are mapped back to g.  An unsupported component is named by
+    its smallest vertex."""
+    comps = connected_components(g)
+    if len(comps) <= 1:
+        return solve(g)
+    optimum, parts, solvers, stats = 0, [], [], Counter()
+    for comp in comps:
+        order = sorted(comp)
+        try:
+            res = solve(g.subgraph(order))
+        except UnsupportedInstanceError as exc:
+            raise UnsupportedInstanceError(f"component of vertex {order[0]}: {exc}") from exc
+        optimum += res.optimum
+        if problem == "partition":
+            parts += [frozenset(order[v] for v in block) for block in res.witness]
+        else:
+            parts += [norm_edge(order[u], order[v]) for u, v in res.witness]
+        if res.solver not in solvers:
+            solvers.append(res.solver)
+        stats.update(res.stats)
+    witness = canonical_partition(parts) if problem == "partition" else frozenset(parts)
+    return SolveResult(problem, optimum, witness, "+".join(solvers), dict(stats))
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,7 @@ def two_sat_solve(formula: TwoSatFormula) -> dict[int, bool] | None:
         l0, l1 = clause
         x = 2 * l0 - 2 if l0 > 0 else -2 * l0 - 1
         y = 2 * l1 - 2 if l1 > 0 else -2 * l1 - 1
-        if min(x, y) < 0 or max(x, y) >= 2 * n:
+        if not (0 <= x < 2 * n and 0 <= y < 2 * n):
             raise ValueError(f"clause {clause} has a literal out of range")
         succ[x ^ 1].append(y)
         if x != y:

@@ -5,13 +5,21 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import colourful
 from colourful import cli
 from colourful.cli import main
 from colourful.gadgets import gen_example1, reduce_nae3sat_pathwidth
 from colourful.decomposition import TreeDecomposition, serialize_td
-from colourful.graph import ColouredGraph, parse_instance, serialize_instance
+from colourful.graph import (
+    ColouredGraph,
+    is_colourful_partition,
+    is_valid_deletion_set,
+    parse_instance,
+    serialize_instance,
+)
+from colourful.oracle import brute_min_deletions, brute_min_partition
 
 from helpers import k4_and_cycle
 
@@ -143,6 +151,75 @@ def _path(colours):
     return ColouredGraph.build(
         len(colours), colours, [(v, v + 1) for v in range(len(colours) - 1)]
     )
+
+
+def _disjoint_union(g, h):
+    return ColouredGraph.build(
+        g.n + h.n, g.colours + h.colours,
+        g.edges() + [(u + g.n, v + g.n) for u, v in h.edges()],
+    )
+
+
+def _grid_and_triangle(side):
+    """A side x side grid coloured like a chessboard with 1 and 2, plus a
+    disjoint triangle coloured 3, 4 and 5."""
+    n = side * side
+    grid = ColouredGraph.build(
+        n,
+        [(v // side + v % side) % 2 + 1 for v in range(n)],
+        [(v, v + 1) for v in range(n) if (v + 1) % side]
+        + [(v, v + side) for v in range(n - side)],
+    )
+    triangle = ColouredGraph.build(3, [3, 4, 5], [(0, 1), (0, 2), (1, 2)])
+    return _disjoint_union(grid, triangle)
+
+
+@pytest.mark.parametrize(
+    "problem, answer", [("partition", "partition 19"), ("components", "deletions 42")]
+)
+def test_solve_routes_each_component_on_its_own(problem, answer, tmp_path, capsys):
+    # No route takes the whole graph: it has five colours and 39 vertices.
+    # The grid goes to the matching (18 dominoes, 42 of its 60 edges cut)
+    # and the triangle, one block, to the DP.
+    path, sol = tmp_path / "mixed.cg", tmp_path / "mixed.sol"
+    path.write_text(serialize_instance(_grid_and_triangle(6)))
+    code, out, _ = run(capsys, "solve", "--problem", problem, path, "-o", sol)
+    assert code == 0
+    assert out.splitlines() == [answer, "solver two-coloured-matching+treewidth-dp"]
+    code, out, _ = run(capsys, "check", path, sol)
+    assert code == 0 and out.strip() == f"ok {answer}"
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_auto_optimum_adds_up_over_components(data):
+    # Both optima add up over components, whatever the vertex ids.  The
+    # path's are known: its blocks are dominoes and at most one single
+    # vertex, and every edge off the dominoes is cut.
+    n = data.draw(st.integers(1, 7))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = data.draw(st.sets(st.sampled_from(pairs), max_size=n + 3)) if pairs else ()
+    colours = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    piece = ColouredGraph.build(n, colours, sorted(edges))
+    length = data.draw(st.integers(13, 20))
+    path = _path([v % 2 + 1 for v in range(length)])
+    union = _disjoint_union(piece, path)
+    perm = data.draw(st.permutations(range(union.n)))
+    relabelled = ColouredGraph.build(
+        union.n,
+        [union.colours[perm.index(v)] for v in range(union.n)],
+        [(perm[u], perm[v]) for u, v in union.edges()],
+    )
+    expected = {
+        "partition": brute_min_partition(piece).optimum + (length + 1) // 2,
+        "components": brute_min_deletions(piece).optimum + (length - 1) // 2,
+    }
+    for g in (union, relabelled):
+        for problem, optimum in expected.items():
+            res = cli._solve_with(g, problem, "auto")
+            valid = is_colourful_partition if problem == "partition" else is_valid_deletion_set
+            assert res.optimum == len(res.witness) == optimum
+            assert valid(g, res.witness)
 
 
 AUTO_ROUTES = [

@@ -242,10 +242,12 @@ def test_join_keeps_the_labels_of_its_two_sides_apart():
 
 def test_dead_colour_of_one_component_stays_alive_in_another():
     # x and x2 form one component, the 4-cycle u-y1-w-y2 another; x2, u and
-    # w are coloured 1.  The bag holds x next to y1 and y2 after u is
-    # forgotten, and colour 1 dies in x's component before w arrives.  Were
-    # x allowed into the class of u, the class would lose colour 1 there
-    # and then take w, with u and w joined through y1 and y2.
+    # w are coloured 1.  On this decomposition of the disconnected graph, x2
+    # and u are forgotten before w arrives, so colour 1 must stay alive
+    # until w is forgotten too: a colour dies only once its vertices in
+    # every component are forgotten.  Dropped earlier, colour 1 would leave
+    # the class of u, which could then take w, with u and w joined through
+    # y1 and y2.
     x, x2, u, y1, y2, w = range(6)
     g = ColouredGraph.build(
         6, (3, 1, 1, 2, 4, 1), [(x, x2), (u, y1), (u, y2), (y1, w), (y2, w)]
