@@ -291,10 +291,21 @@ def _parse_int_rows(text: str, width: int) -> list[tuple[int, ...]]:
 
 
 def _gen_random(rng: random.Random, n: int, m: int, colours: int) -> ColouredGraph:
-    all_edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    if m > len(all_edges):
-        raise ValueError(f"at most {len(all_edges)} edges possible for n={n}")
-    edges = rng.sample(all_edges, m)
+    total = n * (n - 1) // 2 if n > 1 else 0
+    if m > total:
+        raise ValueError(f"at most {total} edges possible for n={n}")
+    # Sample indices into the lexicographic list of pairs u < v, which picks
+    # the same pairs as sampling the list itself, then decode them in one
+    # sweep over the rows; row u starts at index `start` and has n-1-u pairs.
+    picks = rng.sample(range(total), m)
+    pair: dict[int, tuple[int, int]] = {}
+    u = start = 0
+    for j in sorted(picks):
+        while j >= start + n - 1 - u:
+            start += n - 1 - u
+            u += 1
+        pair[j] = (u, u + 1 + j - start)
+    edges = [pair[j] for j in picks]
     cols = tuple(rng.randint(1, colours) for _ in range(n))
     return ColouredGraph.build(n, cols, edges)
 

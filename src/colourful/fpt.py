@@ -372,14 +372,20 @@ def dp_partition(
 ) -> SolveResult:
     """Minimum colourful partition via dynamic programming over a nice tree
     decomposition.  Keys pair a partition of the bag with the forgotten
-    colours per part; the value counts the parts opened so far."""
-    nice = _default_nice(g, nice, max_width)
-    optimum, backs, stats = _tree_dp(
-        g, nice, _partition_introduce, _partition_join, _partition_project
-    )
-    witness = canonical_partition(_replay(nice, backs, g.n))
-    assert len(witness) == optimum and is_colourful_partition(g, witness)
-    return SolveResult("partition", optimum, witness, "treewidth-dp", stats)
+    colours per part; the value counts the parts opened so far.  A supplied
+    decomposition covers the whole graph; without one, each connected
+    component gets its own decomposition and DP."""
+
+    def solve(sub: ColouredGraph, nice: NiceTreeDecomposition | None = None) -> SolveResult:
+        nice = _default_nice(sub, nice, max_width)
+        optimum, backs, stats = _tree_dp(
+            sub, nice, _partition_introduce, _partition_join, _partition_project
+        )
+        witness = canonical_partition(_replay(nice, backs, sub.n))
+        assert len(witness) == optimum and is_colourful_partition(sub, witness)
+        return SolveResult("partition", optimum, witness, "treewidth-dp", stats)
+
+    return solve(g, nice) if nice is not None else solve_by_component(g, "partition", solve)
 
 
 # ---------------------------------------------------------------------------
@@ -443,18 +449,24 @@ def dp_components(
     """Minimum number of edge deletions via dynamic programming over a nice
     tree decomposition.  Equivalent view: partition the vertices into
     colourful classes (connectivity not required) minimising the number of
-    edges whose endpoints land in different classes."""
-    nice = _default_nice(g, nice, max_width)
-    optimum, backs, stats = _tree_dp(
-        g, nice, _components_introduce, _components_join, _components_project
-    )
-    class_of = {u: i for i, cls in enumerate(_replay(nice, backs, g.n)) for u in cls}
-    deleted = frozenset(
-        norm_edge(u, v) for u, v in g.edges() if class_of[u] != class_of[v]
-    )
-    assert len(deleted) == optimum
-    assert is_valid_deletion_set(g, deleted)
-    return SolveResult("components", optimum, deleted, "treewidth-dp", stats)
+    edges whose endpoints land in different classes.  A supplied
+    decomposition covers the whole graph; without one, each connected
+    component gets its own decomposition and DP."""
+
+    def solve(sub: ColouredGraph, nice: NiceTreeDecomposition | None = None) -> SolveResult:
+        nice = _default_nice(sub, nice, max_width)
+        optimum, backs, stats = _tree_dp(
+            sub, nice, _components_introduce, _components_join, _components_project
+        )
+        class_of = {u: i for i, cls in enumerate(_replay(nice, backs, sub.n)) for u in cls}
+        deleted = frozenset(
+            norm_edge(u, v) for u, v in sub.edges() if class_of[u] != class_of[v]
+        )
+        assert len(deleted) == optimum
+        assert is_valid_deletion_set(sub, deleted)
+        return SolveResult("components", optimum, deleted, "treewidth-dp", stats)
+
+    return solve(g, nice) if nice is not None else solve_by_component(g, "components", solve)
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,15 @@
 hardness-reduction families (vertex cover into 3-coloured cubic-style
 instances, multicut on trees into coloured trees, 3-SAT into split graphs,
 and not-all-equal positive 3-SAT into planar bipartite graphs that come
-with a width-3 path decomposition).  Also small structural validators used
-to check the advertised graph classes.
+with a width-3 path decomposition).  The NAE graph and its path
+decomposition are both read off one left-to-right list of ladder columns,
+so the two cannot drift apart.  Also small structural validators used to
+check the advertised graph classes.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterable, Mapping, Sequence
 
 from .decomposition import TreeDecomposition
@@ -242,22 +245,11 @@ def reduce_multicut_tree(
             depth[w] = depth[u] + 1
 
     def path_neighbour(v: int, u: int) -> int:
-        """Neighbour of v on the tree path from v to u."""
-        a, b = v, u
-        stack_a, stack_b = [v], [u]
-        while depth[a] > depth[b]:
-            a = parent[a]
-            stack_a.append(a)
-        while depth[b] > depth[a]:
-            b = parent[b]
-            stack_b.append(b)
-        while a != b:
-            a = parent[a]
-            b = parent[b]
-            stack_a.append(a)
-            stack_b.append(b)
-        full = stack_a + stack_b[-2::-1]
-        return full[1]
+        """Neighbour of v on the tree path from v to u: the child of v above
+        u when u lies below v, otherwise v's parent."""
+        while depth[u] > depth[v] + 1:
+            u = parent[u]
+        return u if parent[u] == v else parent[v]
 
     pair_index = {p: t for t, p in enumerate(norm_pairs)}
     colours: list[int] = [v + 1 for v in range(n)]
@@ -366,12 +358,14 @@ def reduce_nae3sat_pathwidth(
     partition iff some assignment makes every clause non-constant; returns
     the graph together with a width-3 path decomposition.
 
-    The graph is a chain of twin-row gadgets: per variable a ladder segment
-    a-b-c-d (both rows, crossed at a/b) with a pendant path of fresh colours
-    hanging off the top c, two per occurrence; per clause a segment
-    e-f-g-h-i (crossed at e/f) whose g and h columns are joined by vertical
-    paths repeating the occurrence colours of its three variables plus a
-    twice-used clause colour.
+    The graph is one twin-row ladder, read left to right as a list of
+    (top, bottom) columns: per variable a segment a-b-c-d with a pendant
+    path of fresh colours hanging off the top of c, two per occurrence; per
+    clause a segment e-f-g-h-i whose g and h columns carry hanging paths,
+    closed at their column's bottom, that repeat the occurrence colours of
+    its three variables plus a twice-used clause colour.  The first two
+    columns of every segment are crossed.  The edges and the bags are both
+    read off that one list, so the two cannot drift apart.
     """
     for cl in clauses:
         if len(cl) != 3 or len(set(cl)) != 3 or any(l <= 0 for l in cl):
@@ -379,161 +373,54 @@ def reduce_nae3sat_pathwidth(
     n = max((l for cl in clauses for l in cl), default=0)
     if n == 0:
         raise ValueError("need at least one clause")
-    m = len(clauses)
-    occurrences = {i: 0 for i in range(1, n + 1)}
-
     colours: list[int] = []
-    edges: list[Edge] = []
     colour_ids: dict[tuple, int] = {}
 
     def vertex(colour_key: tuple) -> int:
-        if colour_key not in colour_ids:
-            colour_ids[colour_key] = len(colour_ids) + 1
-        colours.append(colour_ids[colour_key])
+        colours.append(colour_ids.setdefault(colour_key, len(colour_ids) + 1))
         return len(colours) - 1
 
-    top: dict[tuple, int] = {}
-    bot: dict[tuple, int] = {}
-    alpha: dict[tuple[int, int], int] = {}
+    # per column: top, bottom, hanging path, and whether the path closes at
+    # the bottom; `crossed` holds the first column of every segment
+    columns: list[tuple[int, int, list[int], bool]] = []
+    crossed: set[int] = set()
 
-    counts = {i: 0 for i in range(1, n + 1)}
-    for cl in clauses:
-        for v in cl:
-            counts[v] += 1
+    def segment(index: int, names: str, hanging: dict[str, list[tuple]], closes: bool) -> None:
+        crossed.add(len(columns))
+        tops = [vertex((name, index)) for name in names]
+        bots = [vertex((name, index)) for name in names]
+        for name, top, bot in zip(names, tops, bots):
+            path = [vertex(key) for key in hanging.get(name, ())]
+            columns.append((top, bot, path, closes and name in hanging))
 
+    counts = Counter(v for cl in clauses for v in cl)
     for i in range(1, n + 1):
-        for name in ("a", "b", "c", "d"):
-            top[(name, i)] = vertex((name, i))
-        for name in ("a", "b", "c", "d"):
-            bot[(name, i)] = vertex((name, i))
-        for name1, name2 in (("a", "b"), ("b", "c"), ("c", "d")):
-            edges.append(norm_edge(top[(name1, i)], top[(name2, i)]))
-            edges.append(norm_edge(bot[(name1, i)], bot[(name2, i)]))
-        edges.append(norm_edge(top[("a", i)], bot[("b", i)]))
-        edges.append(norm_edge(bot[("a", i)], top[("b", i)]))
-        prev = top[("c", i)]
-        for q in range(1, 2 * counts[i] + 1):
-            alpha[(i, q)] = vertex(("alpha", i, q))
-            edges.append(norm_edge(prev, alpha[(i, q)]))
-            prev = alpha[(i, q)]
-
-    col_vertices: dict[tuple[int, str], int] = {}
+        segment(i, "abcd", {"c": [("alpha", i, q) for q in range(1, 2 * counts[i] + 1)]}, False)
+    seen: Counter[int] = Counter()
     for j, cl in enumerate(clauses, start=1):
         vg, vh, vi = sorted(cl)
-        occurrences[vg] += 1
-        r = occurrences[vg]
-        occurrences[vh] += 1
-        s = occurrences[vh]
-        occurrences[vi] += 1
-        t = occurrences[vi]
-        for name in ("e", "f", "g", "h", "i"):
-            top[(name, j)] = vertex((name, j))
-        for name in ("e", "f", "g", "h", "i"):
-            bot[(name, j)] = vertex((name, j))
-        m1 = vertex(("alpha", vg, 2 * r - 1))
-        m3 = vertex(("beta", j))
-        m5 = vertex(("alpha", vh, 2 * s))
-        m2 = vertex(("alpha", vg, 2 * r))
-        m4 = vertex(("beta", j))
-        m6 = vertex(("alpha", vi, 2 * t))
-        col_vertices.update(
-            {(j, "m1"): m1, (j, "m2"): m2, (j, "m3"): m3,
-             (j, "m4"): m4, (j, "m5"): m5, (j, "m6"): m6}
-        )
-        for name1, name2 in (("e", "f"), ("f", "g"), ("g", "h"), ("h", "i")):
-            edges.append(norm_edge(top[(name1, j)], top[(name2, j)]))
-            edges.append(norm_edge(bot[(name1, j)], bot[(name2, j)]))
-        edges.append(norm_edge(top[("e", j)], bot[("f", j)]))
-        edges.append(norm_edge(bot[("e", j)], top[("f", j)]))
-        edges.append(norm_edge(top[("g", j)], m1))
-        edges.append(norm_edge(m1, m3))
-        edges.append(norm_edge(m3, m5))
-        edges.append(norm_edge(m5, bot[("g", j)]))
-        edges.append(norm_edge(top[("h", j)], m2))
-        edges.append(norm_edge(m2, m4))
-        edges.append(norm_edge(m4, m6))
-        edges.append(norm_edge(m6, bot[("h", j)]))
+        seen.update((vg, vh, vi))
+        r, s, t = seen[vg], seen[vh], seen[vi]
+        segment(j, "efghi", {
+            "g": [("alpha", vg, 2 * r - 1), ("beta", j), ("alpha", vh, 2 * s)],
+            "h": [("alpha", vg, 2 * r), ("beta", j), ("alpha", vi, 2 * t)],
+        }, True)
 
-    for i in range(1, n):
-        edges.append(norm_edge(top[("d", i)], top[("a", i + 1)]))
-        edges.append(norm_edge(bot[("d", i)], bot[("a", i + 1)]))
-    edges.append(norm_edge(top[("d", n)], top[("e", 1)]))
-    edges.append(norm_edge(bot[("d", n)], bot[("e", 1)]))
-    for j in range(1, m):
-        edges.append(norm_edge(top[("i", j)], top[("e", j + 1)]))
-        edges.append(norm_edge(bot[("i", j)], bot[("e", j + 1)]))
-
-    # assemble the bag path in left-to-right order
-    all_bags: list[frozenset[int]] = []
-    for i in range(1, n + 1):
-        all_bags.append(
-            frozenset({top[("a", i)], bot[("a", i)], top[("b", i)], bot[("b", i)]})
-        )
-        all_bags.append(
-            frozenset({top[("b", i)], bot[("b", i)], top[("c", i)], bot[("c", i)]})
-        )
-        for q in range(1, 2 * counts[i]):
-            all_bags.append(
-                frozenset(
-                    {top[("c", i)], bot[("c", i)], alpha[(i, q)], alpha[(i, q + 1)]}
-                )
-            )
-        all_bags.append(
-            frozenset({top[("c", i)], bot[("c", i)], top[("d", i)], bot[("d", i)]})
-        )
-        nxt = ("a", i + 1) if i < n else ("e", 1)
-        all_bags.append(
-            frozenset({top[("d", i)], bot[("d", i)], top[nxt], bot[nxt]})
-        )
-    for j in range(1, m + 1):
-        all_bags.append(
-            frozenset({top[("e", j)], bot[("e", j)], top[("f", j)], bot[("f", j)]})
-        )
-        all_bags.append(
-            frozenset({top[("f", j)], bot[("f", j)], top[("g", j)], bot[("g", j)]})
-        )
-        all_bags.append(
-            frozenset(
-                {top[("g", j)], bot[("g", j)],
-                 col_vertices[(j, "m1")], col_vertices[(j, "m3")]}
-            )
-        )
-        all_bags.append(
-            frozenset(
-                {top[("g", j)], bot[("g", j)],
-                 col_vertices[(j, "m3")], col_vertices[(j, "m5")]}
-            )
-        )
-        all_bags.append(
-            frozenset({top[("g", j)], bot[("g", j)], top[("h", j)], bot[("h", j)]})
-        )
-        all_bags.append(
-            frozenset(
-                {top[("h", j)], bot[("h", j)],
-                 col_vertices[(j, "m2")], col_vertices[(j, "m4")]}
-            )
-        )
-        all_bags.append(
-            frozenset(
-                {top[("h", j)], bot[("h", j)],
-                 col_vertices[(j, "m4")], col_vertices[(j, "m6")]}
-            )
-        )
-        all_bags.append(
-            frozenset({top[("h", j)], bot[("h", j)], top[("i", j)], bot[("i", j)]})
-        )
-        if j < m:
-            all_bags.append(
-                frozenset(
-                    {top[("i", j)], bot[("i", j)],
-                     top[("e", j + 1)], bot[("e", j + 1)]}
-                )
-            )
+    edges: list[Edge] = []
+    bags: list[frozenset[int]] = []
+    for q, (top, bot, path, closes) in enumerate(columns):
+        chain = [top, *path, bot] if closes else [top, *path]
+        edges += zip(chain, chain[1:])
+        bags += (frozenset((top, bot, x, y)) for x, y in zip(path, path[1:]))
+        if q + 1 < len(columns):
+            ntop, nbot = columns[q + 1][:2]
+            edges += [(top, ntop), (bot, nbot)]
+            if q in crossed:
+                edges += [(top, nbot), (bot, ntop)]
+            bags.append(frozenset((top, bot, ntop, nbot)))
 
     g = ColouredGraph.build(len(colours), tuple(colours), edges)
-    td = TreeDecomposition(
-        tuple(all_bags), tuple((q, q + 1) for q in range(len(all_bags) - 1))
-    )
+    td = TreeDecomposition(tuple(bags), tuple((q, q + 1) for q in range(len(bags) - 1)))
     td.validate(g)
     assert td.width == 3 and td.is_path()
     return g, td

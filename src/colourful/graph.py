@@ -275,7 +275,9 @@ def solve_by_component(
             parts += [norm_edge(order[u], order[v]) for u, v in res.witness]
         if res.solver not in solvers:
             solvers.append(res.solver)
-        stats.update(res.stats)
+        for key, value in res.stats.items():
+            # a `max_` counter is the largest over the components, not a sum
+            stats[key] = max(stats[key], value) if key.startswith("max_") else stats[key] + value
     witness = canonical_partition(parts) if problem == "partition" else frozenset(parts)
     return SolveResult(problem, optimum, witness, "+".join(solvers), dict(stats))
 

@@ -1,7 +1,9 @@
 import os
+import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -288,6 +290,23 @@ def test_gen_random_respects_seed(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CG_SEED", "8")
     run(capsys, "gen", "random", "--n", "8", "--m", "9", "-o", "c.cg")
     assert (tmp_path / "a.cg").read_text() != (tmp_path / "c.cg").read_text()
+
+
+def test_gen_random_samples_pairs_without_listing_them():
+    # decoding sampled pair indices picks the same edges as sampling the list
+    # of all pairs, so every seed keeps its graph
+    for seed, n, m in [(0, 2, 1), (1, 5, 10), (2, 9, 17), (3, 30, 40), (4, 12, 0)]:
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        expected = random.Random(seed).sample(pairs, m)
+        assert cli._gen_random(random.Random(seed), n, m, 3).edges() == sorted(expected)
+    # listing the ~2M pairs of n = 2000 would peak far above this
+    tracemalloc.start()
+    try:
+        g = cli._gen_random(random.Random(5), 2000, 10, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.m == 10 and peak < 5 * 2**20
 
 
 def test_gen_split_family_solves_to_two(tmp_path, capsys):

@@ -274,6 +274,26 @@ def test_dp_tables_do_not_grow_with_k_on_example1():
         assert len(sizes) == 1
 
 
+def test_dp_without_a_decomposition_runs_per_component():
+    # Three disjoint copies of gen_example1(3).  One DP over the whole graph
+    # stores 1,082 (partition) and 1,071 (components) states, since a colour
+    # stays alive until its vertices in every copy are forgotten; one DP
+    # per copy stores 126 and 107.
+    e = gen_example1(3)
+    g = ColouredGraph.build(
+        3 * e.n,
+        e.colours * 3,
+        [(u + c * e.n, v + c * e.n) for c in range(3) for u, v in e.edges()],
+    )
+    part, comp = dp_partition(g), dp_components(g)
+    assert (part.stats["states"], comp.stats["states"]) == (378, 321)
+    assert part.stats["max_table"] == dp_partition(e).stats["max_table"] == 17
+    assert part.optimum == 3 * dp_partition(e).optimum == 6
+    assert comp.optimum == 3 * dp_components(e).optimum == 18
+    assert is_colourful_partition(g, part.witness)
+    assert is_valid_deletion_set(g, comp.witness)
+
+
 def test_tree_children_are_joined_on_the_vertex_they_share():
     # On a tree each bag is {v, parent(v)}, and most children of that bag
     # hold only v of it.  Joining them on v alone introduces parent(v) once

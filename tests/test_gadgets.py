@@ -1,9 +1,11 @@
+import hashlib
 import itertools
 import random
 from collections import Counter
 
 import pytest
 
+from colourful.decomposition import serialize_td
 from colourful.gadgets import (
     gen_example1,
     is_bipartite,
@@ -40,6 +42,10 @@ from helpers import random_tree_edges
 
 def plain(n, edges):
     return ColouredGraph.build(n, tuple([1] * n), edges)
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +194,16 @@ def test_multicut_input_validation():
         reduce_multicut_tree(3, [(0, 1), (1, 2)], [(1, 1)])
 
 
+@pytest.mark.parametrize(
+    "hardened, n, digest", [(False, 21, "681dcf20ea1e6ebd"), (True, 44, "7d1d6474e4ba30f2")]
+)
+def test_multicut_reduction_numbering_is_pinned(hardened, n, digest):
+    tree = [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6), (4, 7), (5, 8)]
+    pairs = [(3, 6), (7, 8), (0, 4), (3, 7), (6, 5), (1, 2)]
+    g = reduce_multicut_tree(9, tree, pairs, hardened=hardened)
+    assert g.n == n and _digest(serialize_instance(g)) == digest
+
+
 # ---------------------------------------------------------------------------
 # satisfiability families
 # ---------------------------------------------------------------------------
@@ -257,6 +273,24 @@ def test_nae_reduction_handles_unused_variable():
     g, td = reduce_nae3sat_pathwidth([(2, 3, 4)])
     td.validate(g)
     assert find_two_partition(g) is not None
+
+
+FANO = [(1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6), (2, 5, 7), (3, 4, 7), (3, 5, 6)]
+
+
+@pytest.mark.parametrize(
+    "clauses, n, bags, digest",
+    [
+        ([(1, 2, 3)], 46, 23, "704b8085e3b15f4e"),
+        ([(2, 3, 4)], 54, 27, "2f3073801469f6d7"),  # variable 1 unused
+        (FANO, 210, 125, "e9d37ade83032441"),
+    ],
+)
+def test_nae_reduction_numbering_is_pinned(clauses, n, bags, digest):
+    # the benchmark's NAE rows depend on the exact vertex and bag numbering
+    g, td = reduce_nae3sat_pathwidth(clauses)
+    assert (g.n, len(td.bags)) == (n, bags)
+    assert _digest(serialize_instance(g) + serialize_td(td)) == digest
 
 
 def test_nae_reduction_input_validation():
