@@ -1,7 +1,7 @@
 """Exponential-parameter exact solvers: dynamic programming over nice tree
-decompositions for both problems, a kernelization pipeline parameterized by
-vertex cover, and a solver parameterized by the number of vertices whose
-colour is not unique.
+decompositions for both problems (over the tree itself on a tree component),
+a kernelization pipeline parameterized by vertex cover, and a solver
+parameterized by the number of vertices whose colour is not unique.
 """
 
 from __future__ import annotations
@@ -262,10 +262,74 @@ def _replay(
         for child, ckey in zip(nice.children[node], info[1:]):
             chosen[child] = ckey
             stack.append(child)
+    return _classes(link)
+
+
+def _classes(link: list[int]) -> list[frozenset[int]]:
+    """The sets of a union-find forest over 0..len(link)-1."""
     classes: dict[int, set[int]] = {}
-    for u in range(n):
+    for u in range(len(link)):
         classes.setdefault(_find(link, u), set()).add(u)
     return [frozenset(cls) for cls in classes.values()]
+
+
+def _tree_pieces(g: ColouredGraph) -> tuple[int, list[frozenset[int]], dict[str, int]]:
+    """Cut the fewest edges of a connected tree so that every piece is
+    colourful: on a tree this answers both problems, with blocks = cuts + 1
+    and the cut edges as deletions.  Rooted at 0 and processed children
+    first, each vertex keeps the least cuts in its subtree per colour mask
+    (over dense ranks) of its open piece.  A child u joins its parent's
+    piece where their masks are disjoint, or the edge to u is cut at u's
+    least cuts plus one.  So only u's least-valued masks can beat the cut,
+    and of those only the inclusion-minimal ones: a larger mask at no lower
+    cost never leaves more colours free.  Returns the cuts, the pieces and
+    the stats: the tree vertices, the largest table and the entries stored
+    over all tables."""
+    rank = {c: i for i, c in enumerate(sorted(set(g.colours)))}
+    parent = search(g.adj, 0)
+    tables = [{1 << rank[c]: 0} for c in g.colours]
+    # per child, in merge order: per mask of its parent after the merge, the
+    # parent's mask before it and the child's mask joined (-1 for a cut)
+    backs: list[tuple[int, dict[int, tuple[int, int]]]] = []
+    max_table = states = 0
+    for u in reversed(parent):
+        table = tables[u]
+        max_table = max(max_table, len(table))
+        states += len(table)
+        low = min(table.values())
+        v = parent[u]
+        if v is None:
+            break
+        best = sorted(mask for mask, cuts in table.items() if cuts == low)
+        minimal = [t for i, t in enumerate(best) if all(s & t != s for s in best[:i])]
+        merged: dict[int, int] = {}
+        back: dict[int, tuple[int, int]] = {}
+        for s, a in tables[v].items():
+            moves = [(s, a + low + 1, -1)]
+            moves += [(s | t, a + low, t) for t in minimal if not s & t]
+            for mask, cuts, t in moves:
+                if cuts < merged.get(mask, cuts + 1):
+                    merged[mask] = cuts
+                    back[mask] = (s, t)
+        tables[v] = merged
+        backs.append((u, back))
+    # Undo the merges from the last: a child's merge is undone after its
+    # parent's own merge, so the parent's mask is known by then.  Each
+    # vertex links straight to the top of its piece.
+    chosen = [0] * g.n
+    chosen[0] = min(tables[0], key=tables[0].get)
+    cuts = tables[0][chosen[0]]
+    piece = list(range(g.n))
+    for u, back in reversed(backs):
+        v = parent[u]
+        chosen[v], t = back[chosen[v]]
+        if t < 0:
+            chosen[u] = min(tables[u], key=tables[u].get)
+        else:
+            chosen[u] = t
+            piece[u] = piece[v]
+    stats = {"nodes": g.n, "max_table": max_table, "states": states}
+    return cuts, _classes(piece), stats
 
 
 # ---------------------------------------------------------------------------
@@ -374,14 +438,20 @@ def dp_partition(
     decomposition.  Keys pair a partition of the bag with the forgotten
     colours per part; the value counts the parts opened so far.  A supplied
     decomposition covers the whole graph; without one, each connected
-    component gets its own decomposition and DP."""
+    component gets its own decomposition and DP, except that a tree
+    component goes to `_tree_pieces`."""
 
     def solve(sub: ColouredGraph, nice: NiceTreeDecomposition | None = None) -> SolveResult:
-        nice = _default_nice(sub, nice, max_width)
-        optimum, backs, stats = _tree_dp(
-            sub, nice, _partition_introduce, _partition_join, _partition_project
-        )
-        witness = canonical_partition(_replay(nice, backs, sub.n))
+        if nice is None and sub.m == sub.n - 1:  # a connected tree
+            cuts, classes, stats = _tree_pieces(sub)
+            optimum = cuts + 1
+        else:
+            nice = _default_nice(sub, nice, max_width)
+            optimum, backs, stats = _tree_dp(
+                sub, nice, _partition_introduce, _partition_join, _partition_project
+            )
+            classes = _replay(nice, backs, sub.n)
+        witness = canonical_partition(classes)
         assert len(witness) == optimum and is_colourful_partition(sub, witness)
         return SolveResult("partition", optimum, witness, "treewidth-dp", stats)
 
@@ -451,14 +521,19 @@ def dp_components(
     colourful classes (connectivity not required) minimising the number of
     edges whose endpoints land in different classes.  A supplied
     decomposition covers the whole graph; without one, each connected
-    component gets its own decomposition and DP."""
+    component gets its own decomposition and DP, except that a tree
+    component goes to `_tree_pieces`."""
 
     def solve(sub: ColouredGraph, nice: NiceTreeDecomposition | None = None) -> SolveResult:
-        nice = _default_nice(sub, nice, max_width)
-        optimum, backs, stats = _tree_dp(
-            sub, nice, _components_introduce, _components_join, _components_project
-        )
-        class_of = {u: i for i, cls in enumerate(_replay(nice, backs, sub.n)) for u in cls}
+        if nice is None and sub.m == sub.n - 1:  # a connected tree
+            optimum, classes, stats = _tree_pieces(sub)
+        else:
+            nice = _default_nice(sub, nice, max_width)
+            optimum, backs, stats = _tree_dp(
+                sub, nice, _components_introduce, _components_join, _components_project
+            )
+            classes = _replay(nice, backs, sub.n)
+        class_of = {u: i for i, cls in enumerate(classes) for u in cls}
         deleted = frozenset(
             norm_edge(u, v) for u, v in sub.edges() if class_of[u] != class_of[v]
         )

@@ -119,7 +119,9 @@ def test_solve_k2_moves_on_from_a_width_three_graph_at_once(tmp_path, capsys):
 
 
 def test_solve_long_path_without_recursion_limit(tmp_path, capsys):
-    # a tree decomposition this deep used to overflow the recursive to_nice
+    # a tree decomposition this deep used to overflow the recursive to_nice;
+    # a tree now takes the tree DP, and a supplied decomposition of a long
+    # path still goes through to_nice (below)
     n = 5000
     path = tmp_path / "path.cg"
     lines = [f"cgraph {n} {n - 1}"]
@@ -482,3 +484,18 @@ def test_solve_with_a_long_path_decomposition_validates_in_linear_time(tmp_path)
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "deletions 3333"
+
+
+def test_solve_answers_a_long_tree_in_seconds(tmp_path):
+    # a tree component takes the DP over the tree itself; through a nice
+    # decomposition this 3-coloured path took about half a minute
+    n = 50_000
+    g = ColouredGraph.build(
+        n, [v % 3 + 1 for v in range(n)], [(v, v + 1) for v in range(n - 1)]
+    )
+    inst = tmp_path / "path.cg"
+    inst.write_text(serialize_instance(g))
+    for problem, answer in [("partition", "partition 16667"), ("components", "deletions 16666")]:
+        proc = run_console("solve", "--problem", problem, inst, timeout=20)
+        assert proc.returncode == 0
+        assert proc.stdout.splitlines() == [answer, "solver treewidth-dp"]

@@ -97,8 +97,59 @@ def test_dp_empty_and_singleton():
     res = dp_partition(single)
     assert res.optimum == 1
     assert dp_components(single).optimum == 0
-    # leaf, introduce and forget each store one entry
-    assert res.stats == {"nodes": 3, "max_table": 1, "states": 3}
+    # one vertex is a tree: one table of one entry
+    assert res.stats == {"nodes": 1, "max_table": 1, "states": 1}
+    # on its nice decomposition, leaf, introduce and forget each store one entry
+    nice = to_nice(exact_tree_decomposition(single, 0), single)
+    assert dp_partition(single, nice=nice).stats == {"nodes": 3, "max_table": 1, "states": 3}
+
+
+def random_tree(rng, n, colours):
+    """A random recursive tree on n vertices, each hung off a uniform earlier
+    one, coloured from `colours`."""
+    edges = [(rng.randrange(v), v) for v in range(1, n)]
+    return ColouredGraph.build(n, tuple(rng.choice(colours) for _ in range(n)), edges)
+
+
+def test_tree_dp_matches_oracles():
+    # huge colour ids must not reach the colour masks
+    rng = random.Random(7)
+    for _ in range(150):
+        ncolours = rng.randint(1, 6)
+        g = random_tree(rng, rng.randint(1, 10), [10**9 + c for c in range(ncolours)])
+        part, comp = dp_partition(g), dp_components(g)
+        assert part.stats["nodes"] == comp.stats["nodes"] == g.n
+        assert part.optimum == brute_min_partition(g).optimum
+        assert comp.optimum == brute_min_deletions(g).optimum == tree_min_deletions(g)
+        assert is_colourful_partition(g, part.witness)
+        assert is_valid_deletion_set(g, comp.witness)
+
+
+def test_tree_with_a_supplied_decomposition_runs_the_nice_dp():
+    rng = random.Random(8)
+    for _ in range(20):
+        g = random_tree(rng, rng.randint(2, 10), [1, 2, 3])
+        nice = to_nice(exact_tree_decomposition(g, 1), g)
+        part, comp = dp_partition(g, nice=nice), dp_components(g, nice=nice)
+        assert part.stats["nodes"] == comp.stats["nodes"] == len(nice.bags)
+        assert part.optimum == dp_partition(g).optimum == comp.optimum + 1
+
+
+def test_tree_dp_keeps_only_least_minimal_masks_of_a_child():
+    # A child's costlier masks lose to cutting the edge to it, and of its
+    # least-valued masks only the inclusion-minimal ones are worth joining.
+    # On this 10-coloured tree the nice DP's largest table holds 17,297
+    # keys and takes seconds; without the two prunings the tree DP's holds
+    # a few hundred.
+    rng = random.Random(3)
+    n = 200
+    edges = [(rng.randrange(v), v) for v in range(1, n)]
+    g = ColouredGraph.build(n, tuple(rng.randint(1, 10) for _ in range(n)), edges)
+    part, comp = dp_partition(g), dp_components(g)
+    assert part.optimum == comp.optimum + 1 == 68
+    assert part.stats["max_table"] == comp.stats["max_table"] <= 64
+    assert is_colourful_partition(g, part.witness)
+    assert is_valid_deletion_set(g, comp.witness)
 
 
 @st.composite
