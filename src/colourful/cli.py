@@ -39,6 +39,9 @@ from .graph import (
     ParseError,
     SolveResult,
     UnsupportedInstanceError,
+    _content_lines,
+    _ints,
+    connected_components,
     is_colourful_partition,
     is_valid_deletion_set,
     norm_edge,
@@ -112,7 +115,11 @@ def _tw2(g, problem, k, nice, max_colours) -> SolveResult | None:
 
 def _dp(g, problem, k, nice, max_colours) -> SolveResult:
     if nice is None and len(g.colour_set()) > max_colours:
-        raise UnsupportedInstanceError(f"more than {max_colours} colours")
+        # the gate bounds the decomposition DP's tables; a forest (m = n -
+        # components, so m < n) takes the DP over the tree itself and passes
+        m = g.m
+        if m >= g.n or m != g.n - len(connected_components(g)):
+            raise UnsupportedInstanceError(f"more than {max_colours} colours")
     if problem == "partition":
         return dp_partition(g, nice=nice)
     return dp_components(g, nice=nice)
@@ -248,17 +255,10 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def _parse_cnf(text: str) -> list[tuple[int, ...]]:
-    """DIMACS-style CNF: 'c' comments, optional 'p cnf' header, clauses as
-    runs of nonzero literals terminated by 0."""
-    literals: list[int] = []
-    for line in text.splitlines():
-        stripped = line.strip()
-        if not stripped or stripped.startswith(("c", "p", "#")):
-            continue
-        try:
-            literals.extend(int(tok) for tok in stripped.split())
-        except ValueError as exc:
-            raise ParseError(f"bad CNF line: {line!r}") from exc
+    """DIMACS-style CNF: 'c' comment and 'p cnf' header lines skipped,
+    clauses as runs of nonzero literals terminated by 0."""
+    lines = _content_lines(text)
+    literals = _ints([parts for parts in lines if not parts[0].startswith(("c", "p"))], 0)
     clauses: list[tuple[int, ...]] = []
     current: list[int] = []
     for lit in literals:
@@ -274,19 +274,12 @@ def _parse_cnf(text: str) -> list[tuple[int, ...]]:
 
 
 def _parse_int_rows(text: str, width: int) -> list[tuple[int, ...]]:
-    """Lines of `width` integers each; '#' starts a comment."""
+    """Lines of `width` integers each."""
     rows = []
-    for line in text.splitlines():
-        parts = line.split("#", 1)[0].split()
-        if not parts:
-            continue
-        try:
-            row = tuple(map(int, parts))
-        except ValueError:
-            row = ()
-        if len(row) != width:
-            raise ParseError(f"expected {width} integers per line: {line!r}")
-        rows.append(row)
+    for parts in _content_lines(text):
+        if len(parts) != width:
+            raise ParseError(f"expected {width} integers per line: {' '.join(parts)}")
+        rows.append(tuple(_ints([parts], 0)))
     return rows
 
 

@@ -20,6 +20,7 @@ from .graph import (
     ParseError,
     UnsupportedInstanceError,
     _content_lines,
+    _ints,
     search,
 )
 
@@ -94,32 +95,23 @@ def _check_rooted_bags(
 
 
 def parse_td(text: str) -> TreeDecomposition:
-    lines = list(_content_lines(text))
+    lines = _content_lines(text)
     if not lines or lines[0][0] != "td" or len(lines[0]) != 3:
         raise ParseError("decomposition must start with 'td <nodes> <width>'")
-    try:
-        count, width = int(lines[0][1]), int(lines[0][2])
-    except ValueError as exc:
-        raise ParseError("bad td header") from exc
+    count, width = _ints(lines[:1], 1)
     bags: dict[int, frozenset[int]] = {}
     edges: list[tuple[int, int]] = []
     for parts in lines[1:]:
-        if parts[0] == "bag":
-            try:
-                node = int(parts[1])
-                ids = frozenset(int(x) for x in parts[2:])
-            except (ValueError, IndexError) as exc:
-                raise ParseError(f"bad bag line: {' '.join(parts)}") from exc
+        if parts[0] == "bag" and len(parts) > 1:
+            node, *ids = _ints([parts], 1)
             if node in bags:
                 raise ParseError(f"bag {node} declared twice")
-            bags[node] = ids
+            bags[node] = frozenset(ids)
         elif parts[0] == "te" and len(parts) == 3:
-            try:
-                edges.append((int(parts[1]), int(parts[2])))
-            except ValueError as exc:
-                raise ParseError(f"bad tree edge line: {' '.join(parts)}") from exc
+            i, j = _ints([parts], 1)
+            edges.append((i, j))
         else:
-            raise ParseError(f"unknown decomposition line '{' '.join(parts)}'")
+            raise ParseError(f"malformed decomposition line '{' '.join(parts)}'")
     if len(bags) != count or sorted(bags) != list(range(count)):
         raise ParseError(f"expected bags 0..{count - 1}")
     td = TreeDecomposition(tuple(bags[i] for i in range(count)), tuple(edges))

@@ -17,10 +17,10 @@ from .graph import (
     SolveResult,
     UnsupportedInstanceError,
     canonical_partition,
+    crossing_edges,
     induces_connected,
     is_colourful_partition,
     is_valid_deletion_set,
-    norm_edge,
     search,
     solve_by_component,
 )
@@ -533,10 +533,7 @@ def dp_components(
                 sub, nice, _components_introduce, _components_join, _components_project
             )
             classes = _replay(nice, backs, sub.n)
-        class_of = {u: i for i, cls in enumerate(classes) for u in cls}
-        deleted = frozenset(
-            norm_edge(u, v) for u, v in sub.edges() if class_of[u] != class_of[v]
-        )
+        deleted = crossing_edges(sub, classes)
         assert len(deleted) == optimum
         assert is_valid_deletion_set(sub, deleted)
         return SolveResult("components", optimum, deleted, "treewidth-dp", stats)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Container, Iterable, Mapping, Sequence
 
 Edge = tuple[int, int]
 Partition = tuple[frozenset[int], ...]
@@ -82,16 +82,13 @@ class ColouredGraph:
         return set(self.colours)
 
     def subgraph(self, vertices: Iterable[int]) -> "ColouredGraph":
-        """Induced subgraph, with vertices renumbered by sorted old id."""
+        """Induced subgraph, with vertices renumbered by sorted old id.  It is
+        built straight from this graph's neighbour sets, which were checked
+        when this graph was built."""
         vs = sorted(set(vertices))
         index = {v: i for i, v in enumerate(vs)}
-        edges = [
-            (index[u], index[v])
-            for u in vs
-            for v in self.adj[u]
-            if u < v and v in index
-        ]
-        return ColouredGraph.build(len(vs), [self.colours[v] for v in vs], edges)
+        adj = tuple(frozenset(index[w] for w in self.adj[v] if w in index) for v in vs)
+        return ColouredGraph(len(vs), tuple(self.colours[v] for v in vs), adj)
 
 
 def search(
@@ -292,15 +289,32 @@ def solve_by_component(
 # Solution files:
 #     partition <k>            followed by k "block <id> <id> ..." lines
 #     deletions <p>            followed by p "e <u> <v>" lines
-# '#' starts a comment; blank lines are ignored.
+# In every text format '#' starts a comment, blank lines are ignored and the
+# fields after a line's keyword are integers.
 # ---------------------------------------------------------------------------
 
 
-def _content_lines(text: str) -> Iterator[list[str]]:
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield line.split()
+def _content_lines(text: str) -> list[list[str]]:
+    """The whitespace-separated fields of each line of ``text`` with its
+    '#' comment cut off, skipping lines that are left with none."""
+    return [
+        parts
+        for line in text.splitlines()
+        if (parts := (line[: line.index("#")] if "#" in line else line).split())
+    ]
+
+
+def _ints(lines: list[list[str]], start: int) -> list[int]:
+    """The fields of ``lines`` from index ``start`` on, in order, as one list
+    of integers.  A field that is not an integer is a ParseError naming its
+    line."""
+    try:
+        return [int(x) for parts in lines for x in parts[start:]]
+    except ValueError:
+        if len(lines) > 1:  # the call for the line at fault raises
+            for parts in lines:
+                _ints([parts], start)
+        raise ParseError(f"non-integer field in line '{' '.join(lines[0])}'") from None
 
 
 def normalize_colours(colours: Sequence[int]) -> tuple[int, ...]:
@@ -315,62 +329,48 @@ def normalize_colours(colours: Sequence[int]) -> tuple[int, ...]:
 
 
 def parse_instance(text: str) -> ColouredGraph:
-    """Parse an instance file.  Colours are normalized to a dense range."""
-    lines = list(_content_lines(text))
-    if not lines or lines[0][0] != "cgraph":
+    """Parse an instance file.  Colours are normalized to a dense range.  The
+    neighbour sets are allocated only once the vertex lines have confirmed
+    the header's n, and they are the duplicate-edge check."""
+    lines = _content_lines(text)
+    if not lines or lines[0][0] != "cgraph" or len(lines[0]) != 3:
         raise ParseError("instance must start with a 'cgraph <n> <m>' line")
-    head = lines[0]
-    if len(head) != 3:
-        raise ParseError("malformed cgraph header")
-    try:
-        n, m = int(head[1]), int(head[2])
-    except ValueError as exc:
-        raise ParseError("cgraph header fields must be integers") from exc
+    n, m = _ints(lines[:1], 1)
     if n < 0 or m < 0:
         raise ParseError("cgraph header fields must be non-negative")
+    body = lines[1:]
+    for parts in body:
+        if len(parts) != 3 or parts[0] not in ("v", "e"):
+            raise ParseError(f"expected 'v <id> <colour>' or 'e <u> <v>', got '{' '.join(parts)}'")
     colours: dict[int, int] = {}
     edges: list[Edge] = []
-    edge_set: set[Edge] = set()
-    for parts in lines[1:]:
-        kind = parts[0]
-        if kind == "v":
-            if len(parts) != 3:
-                raise ParseError(f"malformed vertex line: {' '.join(parts)}")
-            try:
-                vid, col = int(parts[1]), int(parts[2])
-            except ValueError as exc:
-                raise ParseError(f"bad vertex line: {' '.join(parts)}") from exc
-            if not 0 <= vid < n:
-                raise ParseError(f"vertex id {vid} out of range 0..{n - 1}")
-            if vid in colours:
-                raise ParseError(f"vertex {vid} declared twice")
-            if col <= 0:
-                raise ParseError(f"vertex {vid} has non-positive colour {col}")
-            colours[vid] = col
-        elif kind == "e":
-            if len(parts) != 3:
-                raise ParseError(f"malformed edge line: {' '.join(parts)}")
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except ValueError as exc:
-                raise ParseError(f"bad edge line: {' '.join(parts)}") from exc
-            if not (0 <= u < n and 0 <= v < n):
-                raise ParseError(f"edge ({u},{v}) out of range")
-            if u >= v:
-                raise ParseError(f"edge ({u},{v}) must satisfy u < v")
-            if (u, v) in edge_set:
-                raise ParseError(f"duplicate edge ({u},{v})")
-            edge_set.add((u, v))
-            edges.append((u, v))
+    fields = iter(_ints(body, 1))  # two per line
+    for parts, x, y in zip(body, fields, fields):
+        if parts[0] == "v":
+            if not 0 <= x < n:
+                raise ParseError(f"vertex id {x} out of range 0..{n - 1}")
+            if x in colours:
+                raise ParseError(f"vertex {x} declared twice")
+            if y <= 0:
+                raise ParseError(f"vertex {x} has non-positive colour {y}")
+            colours[x] = y
+        elif 0 <= x < y < n:
+            edges.append((x, y))
         else:
-            raise ParseError(f"unknown line kind '{kind}'")
+            raise ParseError(f"edge ({x},{y}) must satisfy 0 <= u < v < {n}")
     if len(colours) != n:
         missing = list(islice((v for v in range(n) if v not in colours), 5))
         raise ParseError(f"{n - len(colours)} vertices without colour, first {missing}")
     if len(edges) != m:
         raise ParseError(f"header claims {m} edges, found {len(edges)}")
+    neigh: list[set[int]] = [set() for _ in range(n)]
+    for u, v in edges:
+        if v in neigh[u]:
+            raise ParseError(f"duplicate edge ({u},{v})")
+        neigh[u].add(v)
+        neigh[v].add(u)
     dense = normalize_colours([colours[v] for v in range(n)])
-    return ColouredGraph.build(n, dense, edges)
+    return ColouredGraph(n, dense, tuple(map(frozenset, neigh)))
 
 
 def serialize_instance(g: ColouredGraph) -> str:
@@ -383,58 +383,42 @@ def serialize_instance(g: ColouredGraph) -> str:
 
 
 def parse_solution(text: str) -> tuple[str, Partition | EdgeSet]:
-    """Parse a solution file into ('partition', blocks) or ('deletions', edges)."""
-    lines = list(_content_lines(text))
-    if not lines:
-        raise ParseError("empty solution file")
-    head = lines[0]
-    if head[0] == "partition":
-        if len(head) != 2:
-            raise ParseError("malformed partition header")
-        try:
-            k = int(head[1])
-        except ValueError as exc:
-            raise ParseError("partition count must be an integer") from exc
+    """Parse a solution file into ('partition', blocks) or ('deletions', edges).
+    Blocks stay a list, so equal blocks are left for the check to refuse."""
+    lines = _content_lines(text)
+    if not lines or lines[0][0] not in ("partition", "deletions"):
+        raise ParseError("solution must start with 'partition' or 'deletions'")
+    kind = lines[0][0]
+    if len(lines[0]) != 2:
+        raise ParseError(f"malformed {kind} header")
+    (count,) = _ints(lines[:1], 1)
+    if kind == "partition":
         blocks: list[frozenset[int]] = []
         for parts in lines[1:]:
             if parts[0] != "block":
                 raise ParseError(f"expected 'block' line, got '{parts[0]}'")
-            try:
-                ids = [int(x) for x in parts[1:]]
-            except ValueError as exc:
-                raise ParseError(f"bad block line: {' '.join(parts)}") from exc
+            ids = _ints([parts], 1)
             if not ids:
                 raise ParseError("empty block line")
             if len(set(ids)) != len(ids):
                 raise ParseError(f"repeated vertex in block: {' '.join(parts)}")
             blocks.append(frozenset(ids))
-        if len(blocks) != k:
-            raise ParseError(f"header claims {k} blocks, found {len(blocks)}")
-        return "partition", canonical_partition(blocks)
-    if head[0] == "deletions":
-        if len(head) != 2:
-            raise ParseError("malformed deletions header")
-        try:
-            p = int(head[1])
-        except ValueError as exc:
-            raise ParseError("deletion count must be an integer") from exc
-        edges: set[Edge] = set()
-        for parts in lines[1:]:
-            if parts[0] != "e" or len(parts) != 3:
-                raise ParseError(f"expected 'e <u> <v>' line, got '{' '.join(parts)}'")
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except ValueError as exc:
-                raise ParseError(f"bad edge line: {' '.join(parts)}") from exc
-            if u >= v:
-                raise ParseError(f"deleted edge ({u},{v}) must satisfy u < v")
-            if (u, v) in edges:
-                raise ParseError(f"duplicate deleted edge ({u},{v})")
-            edges.add((u, v))
-        if len(edges) != p:
-            raise ParseError(f"header claims {p} deletions, found {len(edges)}")
-        return "deletions", frozenset(edges)
-    raise ParseError("solution must start with 'partition' or 'deletions'")
+        if len(blocks) != count:
+            raise ParseError(f"header claims {count} blocks, found {len(blocks)}")
+        return kind, canonical_partition(blocks)
+    edges: set[Edge] = set()
+    for parts in lines[1:]:
+        if parts[0] != "e" or len(parts) != 3:
+            raise ParseError(f"expected 'e <u> <v>' line, got '{' '.join(parts)}'")
+        u, v = _ints([parts], 1)
+        if u >= v:
+            raise ParseError(f"deleted edge ({u},{v}) must satisfy u < v")
+        if (u, v) in edges:
+            raise ParseError(f"duplicate deleted edge ({u},{v})")
+        edges.add((u, v))
+    if len(edges) != count:
+        raise ParseError(f"header claims {count} deletions, found {len(edges)}")
+    return kind, frozenset(edges)
 
 
 def serialize_solution(kind: str, witness: Partition | EdgeSet) -> str:

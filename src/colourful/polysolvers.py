@@ -22,9 +22,9 @@ from .graph import (
     UnsupportedInstanceError,
     canonical_partition,
     connected_components,
+    crossing_edges,
     is_colourful_partition,
     is_colourful_set,
-    norm_edge,
 )
 
 
@@ -224,18 +224,18 @@ def solve_two_coloured(g: ColouredGraph, problem: str = "partition") -> SolveRes
     matching = hopcroft_karp(len(left), len(right), adj)
     pairs = sorted((left[u], right[v]) for u, v in matching.items())
     stats = {"matching": len(pairs)}
+    matched = {u for p in pairs for u in p}
+    blocks = [frozenset(p) for p in pairs]
+    blocks.extend(frozenset({v}) for v in range(g.n) if v not in matched)
     if problem == "partition":
-        matched = {u for p in pairs for u in p}
-        blocks = [frozenset(p) for p in pairs]
-        blocks.extend(frozenset({v}) for v in range(g.n) if v not in matched)
         witness = canonical_partition(blocks)
         assert is_colourful_partition(g, witness)
         assert len(witness) == g.n - len(pairs)
         return SolveResult(
             "partition", len(witness), witness, "two-coloured-matching", stats
         )
-    kept = {norm_edge(u, v) for u, v in pairs}
-    deleted = frozenset(e for e in g.edges() if e not in kept)
+    # the matched pairs are the kept edges
+    deleted = crossing_edges(g, blocks)
     assert len(deleted) == g.m - len(pairs)
     return SolveResult(
         "components", len(deleted), deleted, "two-coloured-matching", stats

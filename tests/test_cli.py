@@ -246,12 +246,18 @@ AUTO_ROUTES = [
         ("--problem", "partition", "--k", "2"),
         "two-block-search",
     ),
+    # the DP answers a forest whatever its number of colours, so the last two
+    # graphs, with more than six colours, each close a cycle
     (
-        ColouredGraph.build(8, list(range(1, 9)), [(0, v) for v in range(1, 8)]),
+        ColouredGraph.build(8, list(range(1, 9)), [(0, v) for v in range(1, 8)] + [(1, 2)]),
         ("--problem", "partition"),
         "vertex-cover-kernel",
     ),
-    (_path(list(range(1, 13)) + [1]), ("--problem", "partition"), "nonunique-colours"),
+    (
+        ColouredGraph.build(13, list(range(1, 13)) + [1], [(v, (v + 1) % 13) for v in range(13)]),
+        ("--problem", "partition"),
+        "nonunique-colours",
+    ),
 ]
 
 
@@ -271,6 +277,97 @@ def test_check_rejects_wrong_witness(example1_file, tmp_path, capsys):
     sol.write_text("partition 1\nblock 0\n")
     code, _, err = run(capsys, "check", example1_file, sol)
     assert code == 1 and "invalid" in err
+
+
+# Each reader's malformed inputs, with the exit code of the command that reads
+# them: 2 for unparseable input, 1 for a witness that parses but is invalid.
+# Solutions and decompositions are read against P2, the path 0-1 coloured
+# 1, 2.
+P2 = "cgraph 2 1\nv 0 1\nv 1 2\ne 0 1\n"
+REJECTIONS = [
+    ("instance", "", 2),
+    ("instance", "v 0 1\n", 2),  # no header
+    ("instance", "cgraph 2\n", 2),
+    ("instance", "cgraph 2 1 0\n", 2),
+    ("instance", "cgraph x 1\n", 2),
+    ("instance", "cgraph -1 0\n", 2),
+    ("instance", "cgraph 2 2\nv 0 1\nv 1 2\ne 0 1\ne 0 1\n", 2),  # duplicate edge
+    ("instance", "cgraph 2 1\nv 0 1\nv 1 2\ne 1 0\n", 2),  # u > v
+    ("instance", "cgraph 2 1\nv 0 1\nv 1 2\ne 1 1\n", 2),  # a loop
+    ("instance", "cgraph 2 1\nv 0 1\nv 1 2\ne 0 2\n", 2),  # out of range
+    ("instance", "cgraph 2 1\nv 0 1\nv 1 2\ne -1 1\n", 2),
+    ("instance", "cgraph 2 1\nv 0 1\nv 1 2\ne 0\n", 2),
+    ("instance", "cgraph 2 1\nv 0 1\nv 1 2\ne 0 1.0\n", 2),
+    ("instance", "cgraph 2 1\nv 0 1\nv 1 two\ne 0 1\n", 2),
+    ("instance", "cgraph 2 1\nv 0 1\nv 1 0\ne 0 1\n", 2),  # non-positive colour
+    ("instance", "cgraph 2 1\nv 0 1\nv 1 -3\ne 0 1\n", 2),
+    ("instance", "cgraph 2 1\nv 0 1\nv 0 2\nv 1 2\ne 0 1\n", 2),  # declared twice
+    ("instance", "cgraph 2 1\nv 0 1\nv 2 2\ne 0 1\n", 2),
+    ("instance", "cgraph 2 1\nv 0 1 1\nv 1 2\ne 0 1\n", 2),
+    ("instance", "cgraph 2 1\nv 0 1\ne 0 1\n", 2),  # vertex 1 has no colour
+    ("instance", "cgraph 2 0\nv 0 1\nv 1 2\ne 0 1\n", 2),  # edge count lies
+    ("instance", "cgraph 2 1\nv 0 1\nv 1 2\nx 0 1\n", 2),
+    ("solution", "", 2),
+    ("solution", "answers 1\n", 2),
+    ("solution", "partition\n", 2),
+    ("solution", "partition x\nblock 0 1\n", 2),
+    ("solution", "partition 1\nblock 0 0 1\n", 2),  # repeated vertex in a block
+    ("solution", "partition 2\nblock 0 1\nblock\n", 2),  # empty block
+    ("solution", "partition 1\nblock 0 one\n", 2),
+    ("solution", "partition 1\ne 0 1\n", 2),
+    ("solution", "partition 2\nblock 0 1\n", 2),  # block count lies
+    ("solution", "deletions 1 2\ne 0 1\n", 2),
+    ("solution", "deletions x\ne 0 1\n", 2),
+    ("solution", "deletions 2\ne 0 1\ne 0 1\n", 2),  # duplicate deleted edge
+    ("solution", "deletions 1\ne 1 0\n", 2),
+    ("solution", "deletions 1\ne 0 b\n", 2),
+    ("solution", "deletions 1\ne 0 1 2\n", 2),
+    ("solution", "deletions 0\ne 0 1\n", 2),
+    # these parse, and check refuses them: blocks are kept as a list, so two
+    # equal blocks cover a vertex twice
+    ("solution", "partition 2\nblock 0 1\nblock 0 1\n", 1),
+    ("solution", "partition 1\nblock 0 5\n", 1),
+    ("solution", "deletions 1\ne 0 5\n", 1),
+    ("td", "", 2),
+    ("td", "td 1\n", 2),
+    ("td", "td 1 x\nbag 0 0 1\n", 2),
+    ("td", "td 1 1\nbag 0 0 1\nbag 0 0 1\n", 2),  # bag declared twice
+    ("td", "td 1 1\nbag\n", 2),
+    ("td", "td 1 1\nbag x 0 1\n", 2),
+    ("td", "td 1 1\nbag 0 0 y\n", 2),
+    ("td", "td 2 1\nbag 0 0 1\nbag 1 1\nte 0\n", 2),  # bad te lines
+    ("td", "td 2 1\nbag 0 0 1\nbag 1 1\nte 0 x\n", 2),
+    ("td", "td 2 1\nbag 0 0 1\nbag 1 1\nte 0 1 1\n", 2),
+    ("td", "td 2 1\nbag 0 0 1\n", 2),  # bag 1 missing
+    ("td", "td 1 5\nbag 0 0 1\n", 2),  # width lies
+    ("td", "td 1 1\nbag 0 0 1\nnode 1\n", 2),
+    ("td", "td 1 0\nbag 0 0\n", 1),  # parses, does not cover the edge
+    ("cnf", "1 2 x 0\n", 2),  # bad CNF tokens
+    ("cnf", "1 2.5 3 0\n", 2),
+    ("pairs", "0\n", 2),  # short int rows
+    ("pairs", "0 1 2\n", 2),
+    ("pairs", "0 x\n", 2),
+    ("edge-colours", "0 1\n", 2),
+]
+
+
+@pytest.mark.parametrize("reader, text, code", REJECTIONS)
+def test_readers_reject_malformed_input(reader, text, code, tmp_path, capsys):
+    inst, bad, out = tmp_path / "p2.cg", tmp_path / "bad.txt", tmp_path / "out.cg"
+    inst.write_text(P2)
+    bad.write_text(text)
+    argv = {
+        "instance": ("solve", bad),
+        "solution": ("check", inst, bad),
+        "td": ("td", "validate", inst, bad),
+        "cnf": ("gen", "split-3sat", "--formula", bad, "-o", out),
+        "pairs": ("gen", "multicut", "--tree", inst, "--pairs", bad, "-o", out),
+        "edge-colours": ("gen", "vc", "--graph", inst, "--edge-colours", bad, "-o", out),
+    }[reader]
+    got, _, err = run(capsys, *argv)
+    assert got == code
+    assert err.startswith("error: " if code == 2 else "invalid: ")
+    assert not out.exists()
 
 
 def test_gen_example1_and_sidecar(tmp_path, capsys, monkeypatch):
@@ -313,7 +410,8 @@ def test_gen_random_samples_pairs_without_listing_them():
 
 def test_gen_split_family_solves_to_two(tmp_path, capsys):
     cnf = tmp_path / "f.cnf"
-    cnf.write_text("p cnf 3 2\n1 2 3 0\n-1 -2 3 0\n")
+    # a CNF line may end in a comment, as a line of every other format may
+    cnf.write_text("c two clauses\np cnf 3 2\n1 2 3 0  # all positive\n-1 -2 3 0\n")
     out_file = tmp_path / "s.cg"
     code, _, _ = run(capsys, "gen", "split-3sat", "--formula", cnf, "-o", out_file)
     assert code == 0
@@ -499,3 +597,19 @@ def test_solve_answers_a_long_tree_in_seconds(tmp_path):
         proc = run_console("solve", "--problem", problem, inst, timeout=20)
         assert proc.returncode == 0
         assert proc.stdout.splitlines() == [answer, "solver treewidth-dp"]
+
+
+def test_solve_answers_a_many_coloured_tree_without_a_colour_flag(tmp_path, capsys):
+    # the colour gate of the dp route bounds the decomposition DP only; this
+    # 20-coloured random recursive tree takes the DP over the tree itself
+    rng, n = random.Random(1), 700
+    edges = [(rng.randrange(v), v) for v in range(1, n)]
+    g = ColouredGraph.build(n, [rng.randint(1, 20) for _ in range(n)], edges)
+    inst, sol = tmp_path / "tree.cg", tmp_path / "tree.sol"
+    inst.write_text(serialize_instance(g))
+    for problem, answer in [("partition", "partition 160"), ("components", "deletions 159")]:
+        code, out, _ = run(capsys, "solve", "--problem", problem, inst, "-o", sol)
+        assert code == 0
+        assert out.splitlines() == [answer, "solver treewidth-dp"]
+        code, out, _ = run(capsys, "check", inst, sol)
+        assert code == 0 and out.strip() == f"ok {answer}"

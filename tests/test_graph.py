@@ -171,6 +171,16 @@ def test_search_and_components_match_union_find(g, data):
             assert set(search(g.adj, s, allowed)) == next(c for c in inside if s in c)
 
 
+@given(coloured_graphs(max_n=10), st.data())
+def test_subgraph_equals_build_over_the_induced_edges(g, data):
+    # `subgraph` skips `build`'s checks; it must still give what they give
+    picked = data.draw(st.lists(st.sampled_from(range(g.n)))) if g.n else []
+    index = {v: i for i, v in enumerate(sorted(set(picked)))}
+    induced = [(index[u], index[v]) for u, v in g.edges() if u in index and v in index]
+    expected = ColouredGraph.build(len(index), [g.colours[v] for v in index], induced)
+    assert g.subgraph(picked) == expected
+
+
 @given(coloured_graphs(max_n=6))
 def test_components_partition_the_vertices(g):
     comps = connected_components(g)
