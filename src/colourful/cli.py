@@ -41,8 +41,8 @@ from .graph import (
     UnsupportedInstanceError,
     _content_lines,
     _ints,
-    connected_components,
     is_colourful_partition,
+    is_forest,
     is_valid_deletion_set,
     norm_edge,
     parse_instance,
@@ -114,12 +114,10 @@ def _tw2(g, problem, k, nice, max_colours) -> SolveResult | None:
 
 
 def _dp(g, problem, k, nice, max_colours) -> SolveResult:
-    if nice is None and len(g.colour_set()) > max_colours:
-        # the gate bounds the decomposition DP's tables; a forest (m = n -
-        # components, so m < n) takes the DP over the tree itself and passes
-        m = g.m
-        if m >= g.n or m != g.n - len(connected_components(g)):
-            raise UnsupportedInstanceError(f"more than {max_colours} colours")
+    # the gate bounds the decomposition DP; a forest takes the DP over the
+    # tree itself, which keeps its own budget
+    if nice is None and len(g.colour_set()) > max_colours and not is_forest(g):
+        raise UnsupportedInstanceError(f"more than {max_colours} colours")
     if problem == "partition":
         return dp_partition(g, nice=nice)
     return dp_components(g, nice=nice)

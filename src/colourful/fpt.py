@@ -20,6 +20,7 @@ from .graph import (
     crossing_edges,
     induces_connected,
     is_colourful_partition,
+    is_forest,
     is_valid_deletion_set,
     search,
     solve_by_component,
@@ -273,6 +274,17 @@ def _classes(link: list[int]) -> list[frozenset[int]]:
     return [frozenset(cls) for cls in classes.values()]
 
 
+# The budget of the tree DP: the mask pairs its merges may compare per tree
+# vertex, each least-cost mask of a child against the others and against
+# each mask of the parent.  The pairs bound the time and the entries stored.
+# A table can hold up to 2^(colours - 1) masks, and a hub's does: the centre
+# of a star of 30 leaves and 31 distinct colours would hold 2^30.  Random
+# recursive trees of 3000 vertices and 30 colours stay well within it, and
+# so do preferential-attachment trees, whose hubs are large, up to 12
+# colours.
+TREE_PAIRS_PER_VERTEX = 256
+
+
 def _tree_pieces(g: ColouredGraph) -> tuple[int, list[frozenset[int]], dict[str, int]]:
     """Cut the fewest edges of a connected tree so that every piece is
     colourful: on a tree this answers both problems, with blocks = cuts + 1
@@ -284,10 +296,12 @@ def _tree_pieces(g: ColouredGraph) -> tuple[int, list[frozenset[int]], dict[str,
     and of those only the inclusion-minimal ones: a larger mask at no lower
     cost never leaves more colours free.  Returns the cuts, the pieces and
     the stats: the tree vertices, the largest table and the entries stored
-    over all tables."""
+    over all tables.  Raises UnsupportedInstanceError once the merges have
+    compared more than `TREE_PAIRS_PER_VERTEX` mask pairs per tree vertex."""
     rank = {c: i for i, c in enumerate(sorted(set(g.colours)))}
     parent = search(g.adj, 0)
     tables = [{1 << rank[c]: 0} for c in g.colours]
+    pairs, budget = 0, TREE_PAIRS_PER_VERTEX * g.n
     # per child, in merge order: per mask of its parent after the merge, the
     # parent's mask before it and the child's mask joined (-1 for a cut)
     backs: list[tuple[int, dict[int, tuple[int, int]]]] = []
@@ -301,6 +315,11 @@ def _tree_pieces(g: ColouredGraph) -> tuple[int, list[frozenset[int]], dict[str,
         if v is None:
             break
         best = sorted(mask for mask, cuts in table.items() if cuts == low)
+        pairs += len(best) * (len(best) + len(tables[v]))
+        if pairs > budget:
+            raise UnsupportedInstanceError(
+                f"tree DP compares more than {TREE_PAIRS_PER_VERTEX} mask pairs per vertex"
+            )
         minimal = [t for i, t in enumerate(best) if all(s & t != s for s in best[:i])]
         merged: dict[int, int] = {}
         back: dict[int, tuple[int, int]] = {}
@@ -442,7 +461,7 @@ def dp_partition(
     component goes to `_tree_pieces`."""
 
     def solve(sub: ColouredGraph, nice: NiceTreeDecomposition | None = None) -> SolveResult:
-        if nice is None and sub.m == sub.n - 1:  # a connected tree
+        if nice is None and is_forest(sub):
             cuts, classes, stats = _tree_pieces(sub)
             optimum = cuts + 1
         else:
@@ -525,7 +544,7 @@ def dp_components(
     component goes to `_tree_pieces`."""
 
     def solve(sub: ColouredGraph, nice: NiceTreeDecomposition | None = None) -> SolveResult:
-        if nice is None and sub.m == sub.n - 1:  # a connected tree
+        if nice is None and is_forest(sub):
             optimum, classes, stats = _tree_pieces(sub)
         else:
             nice = _default_nice(sub, nice, max_width)

@@ -145,6 +145,12 @@ def is_connected(g: ColouredGraph) -> bool:
     return g.n <= 1 or len(search(g.adj, 0)) == g.n
 
 
+def is_forest(g: ColouredGraph) -> bool:
+    """Whether g has no cycle: each component of a forest has one edge
+    fewer than it has vertices."""
+    return g.m < g.n and g.m == g.n - len(connected_components(g))
+
+
 def is_colourful_set(g: ColouredGraph, block: Iterable[int]) -> bool:
     seen: set[int] = set()
     for v in block:

@@ -246,8 +246,8 @@ AUTO_ROUTES = [
         ("--problem", "partition", "--k", "2"),
         "two-block-search",
     ),
-    # the DP answers a forest whatever its number of colours, so the last two
-    # graphs, with more than six colours, each close a cycle
+    # the DP answers a small forest whatever its number of colours, so the
+    # last two graphs, with more than six colours, each close a cycle
     (
         ColouredGraph.build(8, list(range(1, 9)), [(0, v) for v in range(1, 8)] + [(1, 2)]),
         ("--problem", "partition"),
@@ -613,3 +613,19 @@ def test_solve_answers_a_many_coloured_tree_without_a_colour_flag(tmp_path, caps
         assert out.splitlines() == [answer, "solver treewidth-dp"]
         code, out, _ = run(capsys, "check", inst, sol)
         assert code == 0 and out.strip() == f"ok {answer}"
+
+
+def test_tree_dp_budget_lets_auto_move_past_a_many_coloured_star(tmp_path):
+    # the centre's table of this star would hold all 2^30 subsets of the
+    # leaf colours; the tree DP stops at its budget and `auto` moves on
+    k = 30
+    g = ColouredGraph.build(k + 1, list(range(1, k + 2)), [(0, v) for v in range(1, k + 1)])
+    inst = tmp_path / "star.cg"
+    inst.write_text(serialize_instance(g))
+    proc = run_console("solve", inst, timeout=20)
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines() == ["partition 1", "solver vertex-cover-kernel"]
+    for argv in [("--algo", "dp"), ("--problem", "components")]:
+        proc = run_console("solve", *argv, inst, timeout=20)
+        assert proc.returncode == 3
+        assert "mask pairs per vertex" in proc.stderr
