@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import Callable
 
 from .decomposition import (
-    NiceTreeDecomposition,
     TreeDecomposition,
     exact_tree_decomposition,
     parse_td,
@@ -86,23 +85,21 @@ def _load_instance(path: str) -> ColouredGraph:
 MAX_COVER = 4  # largest greedy vertex cover the `vc` kernel accepts
 MAX_Q = 5  # most repeated-colour vertices per component for `nonunique`
 ORACLE_CAP = 12  # most vertices the brute-force oracles enumerate
+MAX_COLOURS = 6  # most colours the `dp` route takes through a decomposition
 
-# Each route is called as route(g, problem, k, nice, max_colours).  It raises
+# Each route is called as route(g, problem, k, max_colours).  It raises
 # UnsupportedInstanceError when its precondition fails and returns None only
 # when no partition with at most two blocks exists.
-Route = Callable[
-    [ColouredGraph, str, int | None, NiceTreeDecomposition | None, int],
-    SolveResult | None,
-]
+Route = Callable[[ColouredGraph, str, int | None, int], SolveResult | None]
 
 
-def _matching(g, problem, k, nice, max_colours) -> SolveResult:
+def _matching(g, problem, k, max_colours) -> SolveResult:
     if len(g.colour_set()) > 2:
         raise UnsupportedInstanceError("more than two colours")
     return solve_two_coloured(g, problem)
 
 
-def _tw2(g, problem, k, nice, max_colours) -> SolveResult | None:
+def _tw2(g, problem, k, max_colours) -> SolveResult | None:
     if problem != "partition" or k != 2:
         raise UnsupportedInstanceError(
             "route answers the two-block partition question only (use --k 2)"
@@ -113,29 +110,29 @@ def _tw2(g, problem, k, nice, max_colours) -> SolveResult | None:
     return SolveResult("partition", len(part), part, "tw2-2sat", {})
 
 
-def _dp(g, problem, k, nice, max_colours) -> SolveResult:
+def _dp(g, problem, k, max_colours) -> SolveResult:
     # the gate bounds the decomposition DP; a forest takes the DP over the
     # tree itself, which keeps its own budget
-    if nice is None and len(g.colour_set()) > max_colours and not is_forest(g):
+    if len(g.colour_set()) > max_colours and not is_forest(g):
         raise UnsupportedInstanceError(f"more than {max_colours} colours")
     if problem == "partition":
-        return dp_partition(g, nice=nice)
-    return dp_components(g, nice=nice)
+        return dp_partition(g)
+    return dp_components(g)
 
 
-def _vc(g, problem, k, nice, max_colours) -> SolveResult:
+def _vc(g, problem, k, max_colours) -> SolveResult:
     if problem != "partition":
         raise UnsupportedInstanceError("vertex-cover route solves partition only")
     return solve_partition_vc(g, max_cover=MAX_COVER)
 
 
-def _nonunique(g, problem, k, nice, max_colours) -> SolveResult:
+def _nonunique(g, problem, k, max_colours) -> SolveResult:
     if problem != "partition":
         raise UnsupportedInstanceError("non-unique-colours route solves partition only")
     return solve_partition_nonunique(g, max_q=MAX_Q)
 
 
-def _oracle(g, problem, k, nice, max_colours) -> SolveResult | None:
+def _oracle(g, problem, k, max_colours) -> SolveResult | None:
     if problem == "partition":
         if g.n <= ORACLE_CAP or k != 2:
             return brute_min_partition(g, cap=ORACLE_CAP)
@@ -165,25 +162,24 @@ def _solve_with(
     problem: str,
     algo: str,
     k: int | None = None,
-    nice: NiceTreeDecomposition | None = None,
-    max_colours: int = 6,
+    max_colours: int = MAX_COLOURS,
 ) -> SolveResult | None:
     """Run one route, or under `auto` the first in `ROUTES` that applies, on
-    each connected component.  A supplied decomposition and the two-block
-    question, which does not add up over components, take the whole graph.
-    Returns None only when no two-block partition exists."""
+    each connected component.  The two-block question, which does not add up
+    over components, takes the whole graph.  Returns None only when no
+    two-block partition exists."""
     routes = ROUTES if algo == "auto" else {algo: ROUTES[algo]}
 
     def solve(part: ColouredGraph) -> SolveResult | None:
         reasons = []
         for name, route in routes.items():
             try:
-                return route(part, problem, k, nice, max_colours)
+                return route(part, problem, k, max_colours)
             except UnsupportedInstanceError as exc:
                 reasons.append(f"{name}: {exc}")
         raise UnsupportedInstanceError("; ".join(reasons))
 
-    if nice is not None or (problem == "partition" and k == 2):
+    if problem == "partition" and k == 2:
         return solve(g)
     return solve_by_component(g, problem, solve)
 
@@ -191,20 +187,25 @@ def _solve_with(
 def cmd_solve(args: argparse.Namespace) -> int:
     try:
         g = _load_instance(args.instance)
-        nice = None
-        if args.td:
-            td = parse_td(_read_text(args.td))
+        td = parse_td(_read_text(args.td)) if args.td else None
+        if td is not None:
             try:
                 td.validate(g)
             except ValueError as exc:
                 raise ParseError(f"supplied decomposition is invalid: {exc}") from exc
-            nice = to_nice(td, g)
     except ParseError as exc:
         return _fail(EXIT_PARSE, f"error: {exc}")
     try:
-        result = _solve_with(
-            g, args.problem, args.algo, k=args.k, nice=nice, max_colours=args.max_colours
-        )
+        if td is None:
+            result = _solve_with(
+                g, args.problem, args.algo, k=args.k, max_colours=args.max_colours
+            )
+        elif args.algo not in ("auto", "dp"):
+            raise UnsupportedInstanceError(f"--td answers by the dp route, not {args.algo}")
+        else:
+            # a supplied decomposition covers the whole graph: the DP runs on it
+            dp = dp_partition if args.problem == "partition" else dp_components
+            result = dp(g, nice=to_nice(td, g))
     except (UnsupportedInstanceError, ValueError) as exc:
         return _fail(EXIT_NO_SOLVER, f"no applicable solver: {exc}")
     kind = "partition" if args.problem == "partition" else "deletions"
@@ -503,8 +504,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--k", type=int, default=None,
                          help="answer the decision question: optimum <= k?")
     p_solve.add_argument("--td", default=None,
-                         help="tree decomposition file to use for the DP route")
-    p_solve.add_argument("--max-colours", type=int, default=6, dest="max_colours")
+                         help="answer by the DP over this tree decomposition file")
+    p_solve.add_argument("--max-colours", type=int, default=MAX_COLOURS, dest="max_colours")
     p_solve.add_argument("-o", "--output", default=None,
                          help="write the witness to this file")
     p_solve.set_defaults(func=cmd_solve)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from bisect import insort
 from collections import Counter
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -582,27 +583,23 @@ def _set_partitions(
 
 def _kernel_min_partition(
     g: ColouredGraph,
-    adj: list[frozenset[int]],
+    classes: list[tuple[tuple[int, frozenset[int]], list[int]]],
     q_blocks: list[list[int]],
-    t_vertices: list[int],
 ) -> tuple[int, list[set[int]]] | None:
     """Minimum partition of the kernel whose restriction to the cover equals
-    q_blocks.  Independent-set vertices join a compatible cover block or stay
-    singletons; branch and bound on the number of singletons."""
-    classes: dict[tuple[int, frozenset[int]], list[int]] = {}
-    for v in t_vertices:
-        classes.setdefault((g.colours[v], adj[v]), []).append(v)
-    class_list = sorted(classes.items())
+    q_blocks.  `classes` lists the kernel's independent vertices as sorted
+    ((colour, neighbourhood), members) rows.  Independent-set vertices join a
+    compatible cover block or stay singletons; branch and bound on the
+    number of singletons."""
     block_colours = [{g.colours[u] for u in blk} for blk in q_blocks]
-    compat = []
-    for (colour, nbrs), members in class_list:
-        compat.append(
-            [
-                j
-                for j, blk in enumerate(q_blocks)
-                if colour not in block_colours[j] and nbrs & set(blk)
-            ]
-        )
+    compat = [
+        [
+            j
+            for j, blk in enumerate(q_blocks)
+            if colour not in block_colours[j] and nbrs & set(blk)
+        ]
+        for (colour, nbrs), _ in classes
+    ]
     best: list[int | None] = [None]
     best_assign: list[list[tuple[int, int]] | None] = [None]
 
@@ -611,7 +608,7 @@ def _kernel_min_partition(
     ) -> None:
         if best[0] is not None and len(q_blocks) + singles >= best[0]:
             return
-        if ci == len(class_list):
+        if ci == len(classes):
             contents = [set(blk) for blk in q_blocks]
             for v, j in assign:
                 contents[j].add(v)
@@ -619,7 +616,7 @@ def _kernel_min_partition(
                 best[0] = len(q_blocks) + singles
                 best_assign[0] = list(assign)
             return
-        (colour, _), members = class_list[ci]
+        (colour, _), members = classes[ci]
         avail = [j for j in compat[ci] if colour not in used[j]]
         for take in range(min(len(members), len(avail)), -1, -1):
             for blocks_used in combinations(avail, take):
@@ -641,7 +638,7 @@ def _kernel_min_partition(
     for v, j in best_assign[0]:
         contents[j].add(v)
         absorbed.add(v)
-    contents.extend({v} for v in t_vertices if v not in absorbed)
+    contents.extend({v} for _, members in classes for v in members if v not in absorbed)
     assert len(contents) == best[0]
     return best[0], contents
 
@@ -653,10 +650,11 @@ def solve_partition_vc(
 
     Pipeline: discard edges joining same-coloured endpoints, find a greedy
     cover S, cap every same-colour same-neighbourhood class of independent
-    vertices at |S| (the overflow can only ever form singleton blocks), then
-    for each colourful partition of S delete whole colours that are
-    interchangeable with at least |S|-1 others, solve the kernel by branch
-    and bound, and re-insert the deleted colours with bipartite matchings.
+    vertices at |S| (the overflow can only ever form singleton blocks), and
+    delete whole colours that are interchangeable with at least |S|-1
+    others; then for each colourful partition of S solve the kernel by
+    branch and bound, and re-insert the deleted colours with bipartite
+    matchings.
     """
     bichromatic = [
         (u, v) for u, v in g.edges() if g.colours[u] != g.colours[v]
@@ -681,20 +679,18 @@ def solve_partition_vc(
     cover_list = sorted(cover)
     fadj = [frozenset(a) for a in adj]
 
+    # One table of the independent vertices' (colour, neighbourhood) classes,
+    # each in vertex order, the classes in order of their smallest member.
+    # Rule 1 caps it, rule 2 deletes whole colours from it, and the kernel
+    # search reads what is left.
     classes: dict[tuple[int, frozenset[int]], list[int]] = {}
     for v in range(g.n):
         if v not in cover:
             classes.setdefault((g.colours[v], fadj[v]), []).append(v)
     rule1_removed: list[int] = []
-    for key in sorted(classes):
-        members = sorted(classes[key])
-        if len(members) > s:
-            rule1_removed.extend(members[s:])
-            classes[key] = members[:s]
-    removed_set = set(rule1_removed)
-    present_t = sorted(
-        v for v in range(g.n) if v not in cover and v not in removed_set
-    )
+    for members in classes.values():
+        rule1_removed.extend(members[s:])
+        del members[s:]
 
     cover_colours = {g.colours[v] for v in cover_list}
     subset_list = [
@@ -702,31 +698,27 @@ def solve_partition_vc(
         for r in range(s + 1)
         for ss in combinations(cover_list, r)
     ]
-    profiles: dict[int, tuple[int, ...]] = {}
-    for colour in sorted({g.colours[v] for v in present_t} - cover_colours):
-        counts = {ss: 0 for ss in subset_list}
-        for v in present_t:
-            if g.colours[v] == colour:
-                counts[fadj[v]] += 1
-        profiles[colour] = tuple(counts[ss] for ss in subset_list)
+    # an independent vertex's neighbourhood is a subset of the cover
     groups: dict[tuple[int, ...], list[int]] = {}
-    for colour, prof in sorted(profiles.items()):
-        groups.setdefault(prof, []).append(colour)
+    for colour in sorted({colour for colour, _ in classes} - cover_colours):
+        profile = tuple(len(classes.get((colour, ss), ())) for ss in subset_list)
+        groups.setdefault(profile, []).append(colour)
     rule2_deleted: list[tuple[int, list[int]]] = []
     for prof in sorted(groups):
-        alive = sorted(groups[prof])
+        alive = groups[prof]
         while len(alive) >= s:
             colour = alive.pop()
-            verts = [v for v in present_t if g.colours[v] == colour]
+            verts = sorted(v for ss in subset_list for v in classes.pop((colour, ss), ()))
             rule2_deleted.append((colour, verts))
-            present_t = [v for v in present_t if g.colours[v] != colour]
+    kernel = sorted(classes.items())
+    kept = sum(len(members) for _, members in kernel)
 
-    kernel_size = s + len(present_t)
+    kernel_size = s + kept
     assert kernel_size <= s + s * s * 2**s + (s - 1) * (s + 1) ** (2**s) * s * 2**s
     stats["kernel"] = kernel_size
-    if len(present_t) > kernel_cap:
+    if kept > kernel_cap:
         raise UnsupportedInstanceError(
-            f"kernel keeps {len(present_t)} > {kernel_cap} independent vertices"
+            f"kernel keeps {kept} > {kernel_cap} independent vertices"
         )
 
     best_blocks: list[set[int]] | None = None
@@ -737,26 +729,23 @@ def solve_partition_vc(
         ):
             continue
         tried += 1
-        out = _kernel_min_partition(g, fadj, q_blocks, present_t)
+        out = _kernel_min_partition(g, kernel, q_blocks)
         if out is None:
             continue
         _, blocks = out
+        # the first len(q_blocks) blocks hold the cover and host the deleted
+        # colours, in order of their smallest vertex, kept as it falls
+        low = [min(blk) for blk in blocks[: len(q_blocks)]]
         for colour, verts in reversed(rule2_deleted):
-            hosts = sorted(
-                (i for i, blk in enumerate(blocks) if blk & cover),
-                key=lambda i: min(blocks[i]),
-            )
+            hosts = sorted(range(len(q_blocks)), key=low.__getitem__)
             f_adj = [
-                [
-                    j
-                    for j, i in enumerate(hosts)
-                    if fadj[v] & (blocks[i] & cover)
-                ]
+                [j for j, i in enumerate(hosts) if not fadj[v].isdisjoint(q_blocks[i])]
                 for v in verts
             ]
             matching = hopcroft_karp(len(verts), len(hosts), f_adj)
             for x, y in matching.items():
                 blocks[hosts[y]].add(verts[x])
+                low[hosts[y]] = min(low[hosts[y]], verts[x])
             blocks.extend({verts[x]} for x in range(len(verts)) if x not in matching)
         blocks = blocks + [{v} for v in rule1_removed]
         if best_blocks is None or len(blocks) < len(best_blocks):
@@ -777,20 +766,24 @@ def solve_partition_vc(
 
 def _grow_from_seeds(g: ColouredGraph, seeds: list[int]) -> list[set[int]]:
     """Partition a connected graph into |seeds| connected blocks, one seed
-    each, attaching every remaining vertex to an adjacent block."""
-    blocks = [{v} for v in seeds]
-    unassigned = set(range(g.n)) - set(seeds)
-    while unassigned:
-        for v in sorted(unassigned):
-            j = next(
-                (i for i, blk in enumerate(blocks) if g.adj[v] & blk), None
-            )
-            if j is not None:
-                blocks[j].add(v)
-                unassigned.discard(v)
-                break
-        else:
-            raise AssertionError("graph must be connected")
+    each: the smallest vertex next to a block joins the lowest-numbered
+    adjacent block, until every vertex has joined one."""
+    block = {v: i for i, v in enumerate(seeds)}
+    frontier = [u for v in seeds for u in g.adj[v] if u not in block]
+    heapify(frontier)
+    while frontier:
+        v = heappop(frontier)
+        if v in block:
+            continue
+        block[v] = min(block[u] for u in g.adj[v] if u in block)
+        for u in g.adj[v]:
+            if u not in block:
+                heappush(frontier, u)
+    if len(block) < g.n:
+        raise AssertionError("graph must be connected")
+    blocks: list[set[int]] = [set() for _ in seeds]
+    for v, i in block.items():
+        blocks[i].add(v)
     return blocks
 
 

@@ -584,6 +584,29 @@ def test_solve_with_a_long_path_decomposition_validates_in_linear_time(tmp_path)
     assert proc.stdout.splitlines()[0] == "deletions 3333"
 
 
+def test_solve_with_a_decomposition_answers_by_the_dp(tmp_path, capsys):
+    # a two-coloured graph goes to the matching route without --td; with a
+    # decomposition the DP answers on it, and no other route may be named
+    g = ColouredGraph.build(
+        6, [1, 2, 1, 2, 1, 2], [(v, (v + 1) % 6) for v in range(6)] + [(0, 3)]
+    )
+    td = TreeDecomposition(
+        (frozenset({0, 1, 3}), frozenset({1, 2, 3}), frozenset({0, 3, 4}), frozenset({0, 4, 5})),
+        ((0, 1), (0, 2), (2, 3)),
+    )
+    inst, td_file = tmp_path / "g.cg", tmp_path / "g.td"
+    inst.write_text(serialize_instance(g))
+    td_file.write_text(serialize_td(td))
+    for problem in ("partition", "components"):
+        code, plain, _ = run(capsys, "solve", "--problem", problem, inst)
+        assert code == 0 and plain.splitlines()[1] == "solver two-coloured-matching"
+        code, out, _ = run(capsys, "solve", "--problem", problem, "--td", td_file, inst)
+        assert code == 0
+        assert out.splitlines() == [plain.splitlines()[0], "solver treewidth-dp"]
+    code, _, err = run(capsys, "solve", "--td", td_file, "--algo", "vc", inst)
+    assert code == 3 and "no applicable solver" in err
+
+
 def test_solve_answers_a_long_tree_in_seconds(tmp_path):
     # a tree component takes the DP over the tree itself; through a nice
     # decomposition this 3-coloured path took about half a minute

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -480,6 +481,17 @@ def test_vc_pipeline_duplicate_class_reduction():
     assert res.stats["kernel"] < g.n
 
 
+def test_vc_pipeline_answers_a_many_coloured_star_without_a_scan_per_colour():
+    # rule 2 deletes all but one leaf colour and reinserts each by a matching,
+    # so no step may scan the leaves once per colour
+    n = 8000
+    g = ColouredGraph.build(n, tuple(range(1, n + 1)), [(0, v) for v in range(1, n)])
+    t0 = time.perf_counter()
+    res = solve_partition_vc(g, max_cover=4)
+    assert time.perf_counter() - t0 < 2.0
+    assert res.optimum == 1
+
+
 # ---------------------------------------------------------------------------
 # few-repeated-colours pipeline
 # ---------------------------------------------------------------------------
@@ -533,3 +545,17 @@ def test_nonunique_lower_bound_met_by_seed_growth():
     g = ColouredGraph.build(4, (1, 2, 1, 2), [(0, 1), (1, 2), (2, 3)])
     res = solve_partition_nonunique(g)
     assert res.optimum == 2
+
+
+def test_nonunique_grows_seed_blocks_without_a_scan_per_vertex():
+    # one colour on three vertices of the cycle and every other colour
+    # unique: no search runs, and growing the three seeds' blocks may not
+    # scan the unassigned vertices once per vertex
+    n = 32_000
+    colours = list(range(2, n + 2))
+    colours[0] = colours[n // 3] = colours[2 * n // 3] = 1
+    g = ColouredGraph.build(n, colours, [(v, v + 1) for v in range(n - 1)] + [(0, n - 1)])
+    t0 = time.perf_counter()
+    res = solve_partition_nonunique(g)
+    assert time.perf_counter() - t0 < 2.0
+    assert res.optimum == 3
