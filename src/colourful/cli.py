@@ -104,10 +104,11 @@ def _tw2(g, problem, k, max_colours) -> SolveResult | None:
         raise UnsupportedInstanceError(
             "route answers the two-block partition question only (use --k 2)"
         )
-    part = solve_2cp_treewidth2(g)
+    stats = {"formulas": 0}
+    part = solve_2cp_treewidth2(g, stats)
     if part is None:
         return None
-    return SolveResult("partition", len(part), part, "tw2-2sat", {})
+    return SolveResult("partition", len(part), part, "tw2-2sat", stats)
 
 
 def _dp(g, problem, k, max_colours) -> SolveResult:

@@ -21,7 +21,6 @@ from .graph import (
     crossing_edges,
     induces_connected,
     is_colourful_partition,
-    is_forest,
     is_valid_deletion_set,
     search,
     solve_by_component,
@@ -462,7 +461,8 @@ def dp_partition(
     component goes to `_tree_pieces`."""
 
     def solve(sub: ColouredGraph, nice: NiceTreeDecomposition | None = None) -> SolveResult:
-        if nice is None and is_forest(sub):
+        # `sub` is connected, so it is a tree iff it has n - 1 edges
+        if nice is None and sub.m == sub.n - 1:
             cuts, classes, stats = _tree_pieces(sub)
             optimum = cuts + 1
         else:
@@ -545,7 +545,8 @@ def dp_components(
     component goes to `_tree_pieces`."""
 
     def solve(sub: ColouredGraph, nice: NiceTreeDecomposition | None = None) -> SolveResult:
-        if nice is None and is_forest(sub):
+        # `sub` is connected, so it is a tree iff it has n - 1 edges
+        if nice is None and sub.m == sub.n - 1:
             optimum, classes, stats = _tree_pieces(sub)
         else:
             nice = _default_nice(sub, nice, max_width)

@@ -361,11 +361,128 @@ def _shortest_same_colour_path(
     return best
 
 
-def solve_2cp_treewidth2(g: ColouredGraph) -> Partition | None:
+def _cut_certificate(g: ColouredGraph, classes: list[list[int]]) -> int | None:
+    """A vertex c of the connected graph g such that no component of G - c
+    meets every same-coloured pair, or None.  A component meets the pair
+    (x, y) when it holds x or y, so it meets c's own pair only by holding
+    c's partner.  `classes` are g's colour classes, none larger than two.
+    Such a c rules out two blocks (see `solve_2cp_treewidth2`).  The common
+    case is two components K that each make K + c not colourful, by
+    repeating a colour or by holding c's partner: neither meets the
+    other's pair.
+
+    One iterative depth-first search (Hopcroft and Tarjan) builds the
+    block-cut tree T: nodes 0..n-1 are the vertices and nodes n, n+1, ...
+    the blocks; a block hangs from the vertex it was found at, and its
+    other vertices hang from it.  The components of G - c are then the
+    subtrees of c's child blocks and, above c, the rest of T.  One pass over
+    T in postorder sums, per node t, ends(t), the paired vertices in t's
+    subtree, and inside(t), the pairs with both ends there, each counted at
+    its lowest common ancestor.  A child block b meets every pair when
+    ends(b) - inside(b) is the number of pairs, and the rest of T above c
+    when inside(c) = 0.  The ancestor comes from Tarjan's offline method: a
+    finished node is linked to its parent, so the root of a finished node's
+    set is its lowest ancestor not yet finished.
+    """
+    n = g.n
+    partner = [-1] * n
+    for vs in classes:
+        if len(vs) == 2:
+            x, y = vs
+            partner[x], partner[y] = y, x
+    pairs = (n - partner.count(-1)) // 2
+
+    disc = [-1] * n
+    low = [0] * n
+    # children in T: a vertex's child blocks, a block's other vertices
+    kids: list[list[int]] = [[] for _ in range(n)]
+    stack = [0]  # vertices reached but not yet placed in a block
+    disc[0] = 0
+    reached = 1
+    work = [(0, iter(g.adj[0]), 0)]  # (vertex, neighbours left, place in stack)
+    while work:
+        v, nbrs, at = work[-1]
+        for w in nbrs:
+            if disc[w] < 0:
+                disc[w] = low[w] = reached
+                reached += 1
+                work.append((w, iter(g.adj[w]), len(stack)))
+                stack.append(w)
+                break
+            if disc[w] < low[v]:
+                low[v] = disc[w]
+        else:
+            work.pop()
+            if not work:
+                break
+            p = work[-1][0]
+            if low[v] < low[p]:
+                low[p] = low[v]
+            if low[v] >= disc[p]:
+                # v's part of the stack and p make one block
+                kids[p].append(len(kids))
+                kids.append(stack[at:])
+                del stack[at:]
+
+    # T in postorder, as a preorder reversed, since Tarjan's method needs
+    # every subtree in one run; and each node's parent
+    block = len(kids)
+    up = [-1] * block
+    order, todo = [], [0]
+    while todo:
+        t = todo.pop()
+        order.append(t)
+        for k in kids[t]:
+            up[k] = t
+        todo += kids[t]
+    order.reverse()
+
+    link = list(range(block))
+    done = bytearray(block)
+    ends = [int(q >= 0) for q in partner] + [0] * (block - n)
+    inside = [0] * block
+    met = bytearray(n)  # whether a component of G - v below v meets every pair
+
+    def find(x: int) -> int:
+        while link[x] != x:
+            link[x] = link[link[x]]
+            x = link[x]
+        return x
+
+    for u in order:
+        if u < n:
+            q = partner[u]
+            if q >= 0 and done[q]:
+                inside[find(q)] += 1
+            # the rest of G above u meets every pair unless a pair lies in
+            # u's subtree, as every pair does when u is the root
+            if not met[u] and inside[u]:
+                return u
+        elif ends[u] - inside[u] == pairs:
+            met[up[u]] = 1
+        done[u] = 1
+        p = up[u]
+        if p >= 0:
+            ends[p] += ends[u]
+            inside[p] += inside[u]
+            link[u] = p
+    return None
+
+
+def solve_2cp_treewidth2(g: ColouredGraph, stats: dict | None = None) -> Partition | None:
     """A colourful partition with at most two blocks, or None if none exists.
     Requires treewidth at most 2 (raises UnsupportedInstanceError otherwise)
     unless the answer is plain without it: two blocks hold at most two
-    vertices of a colour, and a colourful graph is one block.
+    vertices of a colour, a colourful graph is one block, and the
+    cut-vertex certificate below rules two blocks out.  `stats`, when
+    given, gets the number of 2-SAT formulas solved under "formulas".
+
+    The certificate (`_cut_certificate`) is a vertex c such that no
+    component of G - c holds a vertex of every same-coloured pair.  It is
+    exact: the block without c is connected, so it lies in one component of
+    G - c, and it holds one vertex of every pair (of c's own pair, c's
+    partner).  It takes linear time and runs before the width check, so it
+    answers such no-instances at any width.
 
     In a connected graph that is not colourful, take same-coloured x and y
     at the smallest distance: any two-block partition puts them in different
@@ -387,12 +504,16 @@ def solve_2cp_treewidth2(g: ColouredGraph) -> Partition | None:
         return None
     if len(classes) == g.n:
         return (frozenset(range(g.n)),)
+    if _cut_certificate(g, classes) is not None:
+        return None
     if exact_tree_decomposition(g, 2) is None:
         raise UnsupportedInstanceError("solver requires treewidth at most 2")
     path = _shortest_same_colour_path(g, classes)
-    for a, b in zip(path, path[1:]):
+    for formulas, (a, b) in enumerate(zip(path, path[1:]), start=1):
         dec = normalize_for_2cp(g, a, b)
         assignment = two_sat_solve(build_phi(g, dec, a, b))
+        if stats is not None:
+            stats["formulas"] = formulas
         if assignment is None:
             continue
         v1 = frozenset(v for v in range(g.n) if assignment[v + 1])

@@ -272,6 +272,16 @@ def test_auto_picks_the_first_applicable_route(g, args, solver, tmp_path, capsys
     assert out.splitlines()[1] == f"solver {solver}"
 
 
+def test_tw2_route_reports_the_formulas_it_solved():
+    six_cycle = ColouredGraph.build(6, [1, 2, 3, 1, 2, 3], [(v, (v + 1) % 6) for v in range(6)])
+    result = cli._solve_with(six_cycle, "partition", "tw2-2sat", k=2)
+    assert result.solver == "tw2-2sat" and result.optimum == 2
+    assert list(result.stats) == ["formulas"] and 1 <= result.stats["formulas"] <= 3
+    # two colourful components need no formula
+    pair = ColouredGraph.build(4, [1, 2, 1, 2], [(0, 1), (2, 3)])
+    assert cli._solve_with(pair, "partition", "tw2-2sat", k=2).stats == {"formulas": 0}
+
+
 def test_check_rejects_wrong_witness(example1_file, tmp_path, capsys):
     sol = tmp_path / "wrong.txt"
     sol.write_text("partition 1\nblock 0\n")

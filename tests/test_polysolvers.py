@@ -1,14 +1,17 @@
 import random
+import time
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from colourful.decomposition import normalize_for_2cp
+from colourful.decomposition import exact_tree_decomposition, normalize_for_2cp
 from colourful.graph import (
     ColouredGraph,
     UnsupportedInstanceError,
     connected_components,
     is_colourful_partition,
+    is_colourful_set,
     is_valid_deletion_set,
 )
 from colourful.oracle import (
@@ -20,6 +23,8 @@ from colourful.oracle import (
 )
 from colourful.polysolvers import (
     TwoSatFormula,
+    _colour_classes,
+    _cut_certificate,
     build_phi,
     hopcroft_karp,
     solve_2cp_treewidth2,
@@ -248,14 +253,16 @@ def test_tw2_solver_agrees_with_two_block_search_on_larger_graphs():
 def test_tw2_solver_finds_cut_at_far_end_of_path():
     # colours 1..m twice along a path: every same-colour pair is m edges
     # apart and the only valid cut is the middle edge, the last edge of
-    # the path between the two vertices of colour 1
+    # the path between the two vertices of colour 1, so the m-th formula
     for m in range(3, 12):
         g = ColouredGraph.build(
             2 * m, tuple(list(range(1, m + 1)) * 2), [(i, i + 1) for i in range(2 * m - 1)]
         )
-        assert solve_2cp_treewidth2(g) == (
+        stats = {}
+        assert solve_2cp_treewidth2(g, stats) == (
             frozenset(range(m)), frozenset(range(m, 2 * m))
         )
+        assert stats == {"formulas": m}
 
 
 def test_tw2_solver_finds_ladder_rails():
@@ -361,3 +368,208 @@ def test_phi_is_linear_in_the_decomposition():
     same_coloured_pairs = 1
     phi = build_phi(g, dec, 0, 1)
     assert len(phi.clauses) <= 12 * len(dec.bags) + 2 * same_coloured_pairs + 2
+
+
+# ---------------------------------------------------------------------------
+# the cut-vertex certificate
+# ---------------------------------------------------------------------------
+
+
+def components_without(g, c):
+    """The components of G - c, by plain search."""
+    rest = [v for v in range(g.n) if v != c]
+    return [{rest[v] for v in comp} for comp in connected_components(g.subgraph(rest))]
+
+
+def hostless(g, c):
+    """Whether no component of G - c holds a vertex of every same-coloured
+    pair.  c lies in no component, so c's own pair counts only through its
+    partner."""
+    pairs = [set(vs) for vs in _colour_classes(g) if len(vs) == 2]
+    return not any(all(comp & pair for pair in pairs) for comp in components_without(g, c))
+
+
+def bad_components(g, c):
+    """The components K of G - c such that K + c is not colourful."""
+    return sum(not is_colourful_set(g, comp | {c}) for comp in components_without(g, c))
+
+
+def glued_pieces(rng):
+    """Two to four pieces, each glued at one vertex to the graph built so
+    far, so every glue vertex is a cut vertex: a piece is a random connected
+    graph on two to four vertices, or sometimes K4, so some graphs have
+    treewidth 3.  n <= 13; some colour occurs twice and none more often."""
+    n, edges = 1, []
+    for _ in range(rng.randint(2, 4)):
+        size = rng.randint(2, 4)
+        vs = [rng.randrange(n)] + list(range(n, n + size - 1))
+        n += size - 1
+        if size == 4 and rng.random() < 0.3:
+            edges += combinations(vs, 2)
+        else:
+            edges += [(vs[rng.randrange(j)], vs[j]) for j in range(1, size)]
+            edges += [rng.sample(vs, 2) for _ in range(rng.randint(0, size))]
+    colours = random_colours_with_repeats(rng, n, rng.randint(1, n // 2))
+    return ColouredGraph.build(n, colours, sorted({(min(e), max(e)) for e in edges}))
+
+
+def test_cut_certificate_agrees_with_plain_search_and_two_block_search():
+    rng = random.Random(22)
+    seen = dict.fromkeys(["certified", "two bad", "under two bad", "yes", "wide"], 0)
+    for _ in range(500):
+        g = glued_pieces(rng)
+        c = _cut_certificate(g, _colour_classes(g))
+        if c is None:
+            assert not any(hostless(g, v) for v in range(g.n))
+        else:
+            assert hostless(g, c)
+            seen["certified"] += 1
+            seen["two bad" if bad_components(g, c) >= 2 else "under two bad"] += 1
+        answer = find_two_partition(g)
+        try:
+            part = solve_2cp_treewidth2(g)
+        except UnsupportedInstanceError:
+            # only the width check refuses, after the certificate.  A piece of
+            # width 3 can itself be a no-instance that no cut vertex shows,
+            # but on these graphs the certificate answers every no-instance
+            # the width check would refuse
+            assert c is None and exact_tree_decomposition(g, 2) is None
+            assert answer is not None
+            seen["wide"] += 1
+            continue
+        assert (part is None) == (answer is None)
+        if c is not None:
+            assert part is None
+        if part is not None:
+            seen["yes"] += 1
+            assert is_colourful_partition(g, part)
+    assert min(seen.values()) >= 50, seen
+
+
+def test_cut_certificate_partner_rule_alone():
+    """The path 2 - 1 - 0 - 3 - 4 - 5 with colours 3, 1, 1, 2, 4, 2.  For
+    every vertex, at most one component of G - v repeats a colour inside
+    itself, so only the partner rule can answer.  G - 0 has {1, 2} and
+    {3, 4, 5}; {3, 4, 5} repeats colour 2, and {1, 2} holds vertex 0's
+    partner 1, so the block without 0 would need both 1 and one of 3 and
+    5.  G - 3 fails in the same way."""
+    g = ColouredGraph.build(6, (1, 1, 3, 2, 4, 2), [(0, 1), (0, 3), (1, 2), (3, 4), (4, 5)])
+    for v in range(g.n):
+        repeating = [comp for comp in components_without(g, v) if not is_colourful_set(g, comp)]
+        assert len(repeating) <= 1
+    c = _cut_certificate(g, _colour_classes(g))
+    assert c in (0, 3) and hostless(g, c) and bad_components(g, c) == 2
+    assert solve_2cp_treewidth2(g) is None
+    assert find_two_partition(g) is None
+
+
+def test_one_bad_component_falls_through_to_the_formulas():
+    """G - 0 has the components {1, 2, 3}, which repeats colour 2, and
+    {4, 5}.  The first meets the only pair, so the certificate stays silent
+    and the formulas find the block {3}."""
+    g = ColouredGraph.build(6, (1, 2, 3, 2, 4, 5), [(0, 1), (0, 4), (1, 2), (2, 3), (4, 5)])
+    assert bad_components(g, 0) == 1
+    assert _cut_certificate(g, _colour_classes(g)) is None
+    stats = {}
+    part = solve_2cp_treewidth2(g, stats)
+    assert part is not None and len(part) == 2 and is_colourful_partition(g, part)
+    assert stats["formulas"] >= 1
+
+
+def test_cut_certificate_on_a_long_path_is_linear_and_iterative():
+    """Pairs span the cut vertices: colours 1..k twice, then k+1..2k
+    twice.  Removing the last vertex of the third quarter leaves two sides
+    that each miss a pair.  At n = 40,000 a recursive search would pass the
+    interpreter's recursion limit, and one search per cut vertex would take
+    minutes."""
+    k = 10_000
+    colours = list(range(1, k + 1)) * 2 + list(range(k + 1, 2 * k + 1)) * 2
+    g = ColouredGraph.build(4 * k, colours, [(i, i + 1) for i in range(4 * k - 1)])
+    start = time.perf_counter()
+    c = _cut_certificate(g, _colour_classes(g))
+    assert time.perf_counter() - start < 2
+    assert c is not None and 0 < c < 4 * k - 1
+    assert hostless(g, c)
+    # colours 1..k twice along the path: the middle splits every pair
+    half = ColouredGraph.build(2 * k, colours[: 2 * k], [(i, i + 1) for i in range(2 * k - 1)])
+    assert _cut_certificate(half, _colour_classes(half)) is None
+
+
+# ---------------------------------------------------------------------------
+# scale: the two-cycle family and outerplanar no-instances
+# ---------------------------------------------------------------------------
+
+
+def two_cycles(n):
+    """Two cycles of L = (n - 1) // 2 vertices, each repeating its first
+    colour at the antipode, joined through a cut vertex adjacent to the
+    first two vertices of each."""
+    length = (n - 1) // 2
+    cut = 2 * length
+    edges = []
+    for base in (0, length):
+        edges += [(base + i, base + (i + 1) % length) for i in range(length)]
+        edges += [(base, cut), (base + 1, cut)]
+    colours = list(range(1, cut + 2))
+    colours[length // 2] = colours[0]
+    colours[length + length // 2] = colours[length]
+    return ColouredGraph.build(cut + 1, colours, sorted((min(e), max(e)) for e in edges))
+
+
+def outerplanar_edges(rng, size, base=0):
+    """The cycle base..base+size-1 plus some chords of a random
+    triangulation of it: outerplanar, so treewidth at most 2."""
+    edges = [(base + i, base + (i + 1) % size) for i in range(size)]
+    polygon = list(range(size))
+    while len(polygon) > 3:
+        i = rng.randrange(len(polygon))
+        if rng.random() < 0.6:
+            edges.append((base + polygon[i - 1], base + polygon[(i + 1) % len(polygon)]))
+        del polygon[i]
+    return edges
+
+
+def outerplanar_no(rng, n):
+    """Two outerplanar pieces that each repeat one colour, hung off a cut
+    vertex by a triangle each, with the vertices relabelled at random."""
+    n1 = (n - 1) // 2
+    n2 = n - 1 - n1
+    cut = n - 1
+    edges = outerplanar_edges(rng, n1) + outerplanar_edges(rng, n2, n1)
+    edges += [(0, cut), (n1 - 1, cut), (n1, cut), (n - 2, cut)]
+    colours = list(range(1, n + 1))
+    colours[rng.randrange(1, n1)] = colours[0]
+    colours[rng.randrange(n1 + 1, n1 + n2)] = colours[n1]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    relabelled = [0] * n
+    for v in range(n):
+        relabelled[perm[v]] = colours[v]
+    return ColouredGraph.build(
+        n, relabelled, sorted({(min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in edges})
+    )
+
+
+def test_two_cycle_family_is_answered_without_formulas():
+    for n in range(9, 31, 2):
+        g = two_cycles(n)
+        stats = {}
+        assert solve_2cp_treewidth2(g, stats) is None and stats == {}
+        assert find_two_partition(g) is None
+    g = two_cycles(1601)
+    start = time.perf_counter()
+    assert solve_2cp_treewidth2(g) is None
+    assert time.perf_counter() - start < 0.5
+
+
+def test_outerplanar_no_instances_are_answered_without_formulas():
+    rng = random.Random(5)
+    for n in range(9, 31):
+        g = outerplanar_no(rng, n)
+        stats = {}
+        assert solve_2cp_treewidth2(g, stats) is None and stats == {}
+        assert find_two_partition(g) is None
+    g = outerplanar_no(rng, 10_000)
+    start = time.perf_counter()
+    assert solve_2cp_treewidth2(g) is None
+    assert time.perf_counter() - start < 0.5
