@@ -39,7 +39,12 @@ from .polysolvers import hopcroft_karp
 # part of the bag over vertex ids, and the colours of the already-forgotten
 # vertices absorbed into that part's class over colour ranks.  Bits above
 # the ranks are labels that stand for dead colours (`_partition_project`).
-# Parts are disjoint, so a key is ordered by its part masks.
+# Parts are disjoint, so a key is ordered by its part masks.  At a forget
+# node a key is dropped when another key of the table dominates it: the same
+# part masks, forgotten colours and labels a subset part by part, and a value
+# no higher (`_drop_dominated`).  Every completion of the dropped key stays
+# open to the other at no higher cost, so only the Pareto-minimal keys are
+# kept, and the stats `states` and `max_table` count the entries kept.
 Key = tuple[tuple[int, int], ...]
 Table = dict[Key, int]  # the least value found per key
 
@@ -180,10 +185,11 @@ def _tree_dp(
     """Bottom-up minimisation over the nice decomposition: each node keeps,
     per key, the least value of the moves reaching it and the first move
     attaining it.  Keys are projected where colours die, and wherever a
-    child table holds labels, whose holders' indices may have moved.  Bags
-    are passed to the steps as vertex masks.  Returns the root value, the
-    back-pointer tables and the stats: the nice nodes, the size of the
-    largest table and the entries stored over all tables."""
+    child table holds labels, whose holders' indices may have moved.  A
+    forget node then drops its dominated keys.  Bags are passed to the steps
+    as vertex masks.  Returns the root value, the back-pointer tables and
+    the stats: the nice nodes, the size of the largest table and the entries
+    kept over all tables."""
     order = nice.postorder()
     bits = _Bits(g, nice, order)
     tables: dict[int, Table] = {}
@@ -216,6 +222,8 @@ def _tree_dp(
             if key not in table or val < table[key]:
                 table[key] = val
                 back[key] = info
+        if kind == "forget" and len(table) > 1:
+            _drop_dominated(table, back)
         if projected and any(rho > bits.live for key in table for _, rho in key):
             labelled.add(node)
         tables[node] = table
@@ -239,6 +247,39 @@ def _forget(bits: _Bits, v: int, bag: int, table: Table) -> Moves:
         if part != vbit:
             insort(key, (part ^ vbit, rho | bits.colour[v]))
         yield tuple(key), cval, ("f", ckey, idx)
+
+
+def _drop_dominated(table: Table, back: dict[Key, tuple]) -> None:
+    """Delete every key dominated by another with the same part masks:
+    forgotten masks a subset part by part and a value no higher.  A label
+    bit counts as any other bit: it names one set of holders, so a subset
+    of the labels leaves fewer merges forbidden.  Each key's forgotten masks
+    are packed into one int, in fields as wide as the table's widest mask,
+    so one `&` tests a pair.  Sorted by value, then by bits set, a key
+    comes after every key that dominates it, and dominance is transitive,
+    so testing it against the keys kept so far suffices."""
+    width = max(rho for key in table for _, rho in key).bit_length()
+    groups: dict[tuple[int, ...], list[tuple[int, int, int, Key]]] = {}
+    for key, val in table.items():
+        # two keys mean a nonempty bag, so no key is empty
+        parts, rhos = zip(*key)
+        packed = 0
+        for rho in rhos:
+            packed = packed << width | rho
+        groups.setdefault(parts, []).append((val, packed.bit_count(), packed, key))
+    for entries in groups.values():
+        if len(entries) < 2:
+            continue
+        entries.sort()
+        kept: list[int] = []
+        for _, _, packed, key in entries:
+            outside = ~packed
+            for f in kept:
+                if not f & outside:
+                    del table[key], back[key]
+                    break
+            else:
+                kept.append(packed)
 
 
 def _replay(

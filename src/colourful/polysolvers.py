@@ -361,9 +361,13 @@ def _shortest_same_colour_path(
     return best
 
 
-def _cut_certificate(g: ColouredGraph, classes: list[list[int]]) -> int | None:
-    """A vertex c of the connected graph g such that no component of G - c
-    meets every same-coloured pair, or None.  A component meets the pair
+def _cut_certificate(
+    g: ColouredGraph, classes: list[list[int]]
+) -> tuple[bool, int | None]:
+    """Whether g is connected, and if it is, a vertex c such that no
+    component of G - c meets every same-coloured pair, or None.  The search
+    below reaches all of g only when g is connected, and on a disconnected g
+    the certificate is not sought.  A component meets the pair
     (x, y) when it holds x or y, so it meets c's own pair only by holding
     c's partner.  `classes` are g's colour classes, none larger than two.
     Such a c rules out two blocks (see `solve_2cp_treewidth2`).  The common
@@ -423,6 +427,8 @@ def _cut_certificate(g: ColouredGraph, classes: list[list[int]]) -> int | None:
                 kids[p].append(len(kids))
                 kids.append(stack[at:])
                 del stack[at:]
+    if reached < n or not pairs:
+        return reached == n, None
 
     # T in postorder, as a preorder reversed, since Tarjan's method needs
     # every subtree in one run; and each node's parent
@@ -457,7 +463,7 @@ def _cut_certificate(g: ColouredGraph, classes: list[list[int]]) -> int | None:
             # the rest of G above u meets every pair unless a pair lies in
             # u's subtree, as every pair does when u is the root
             if not met[u] and inside[u]:
-                return u
+                return True, u
         elif ends[u] - inside[u] == pairs:
             met[up[u]] = 1
         done[u] = 1
@@ -466,7 +472,7 @@ def _cut_certificate(g: ColouredGraph, classes: list[list[int]]) -> int | None:
             ends[p] += ends[u]
             inside[p] += inside[u]
             link[u] = p
-    return None
+    return True, None
 
 
 def solve_2cp_treewidth2(g: ColouredGraph, stats: dict | None = None) -> Partition | None:
@@ -482,7 +488,8 @@ def solve_2cp_treewidth2(g: ColouredGraph, stats: dict | None = None) -> Partiti
     exact: the block without c is connected, so it lies in one component of
     G - c, and it holds one vertex of every pair (of c's own pair, c's
     partner).  It takes linear time and runs before the width check, so it
-    answers such no-instances at any width.
+    answers such no-instances at any width.  Its search also tells whether
+    g is connected, so only a disconnected g is split into components.
 
     In a connected graph that is not colourful, take same-coloured x and y
     at the smallest distance: any two-block partition puts them in different
@@ -495,16 +502,15 @@ def solve_2cp_treewidth2(g: ColouredGraph, stats: dict | None = None) -> Partiti
     classes = _colour_classes(g)
     if any(len(vs) > 2 for vs in classes):
         return None
-    comps = connected_components(g)
-    if len(comps) > 2:
-        return None
-    if len(comps) == 2:
-        if all(is_colourful_set(g, c) for c in comps):
+    connected, cut = _cut_certificate(g, classes)
+    if not connected:
+        comps = connected_components(g)
+        if len(comps) == 2 and all(is_colourful_set(g, c) for c in comps):
             return canonical_partition(comps)
         return None
     if len(classes) == g.n:
         return (frozenset(range(g.n)),)
-    if _cut_certificate(g, classes) is not None:
+    if cut is not None:
         return None
     if exact_tree_decomposition(g, 2) is None:
         raise UnsupportedInstanceError("solver requires treewidth at most 2")

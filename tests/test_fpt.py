@@ -1,5 +1,6 @@
 import random
 import time
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from colourful.decomposition import (
     exact_tree_decomposition,
     to_nice,
 )
+from colourful import fpt
 from colourful.fpt import (
     dp_components,
     dp_partition,
@@ -139,9 +141,8 @@ def test_tree_with_a_supplied_decomposition_runs_the_nice_dp():
 def test_tree_dp_keeps_only_least_minimal_masks_of_a_child():
     # A child's costlier masks lose to cutting the edge to it, and of its
     # least-valued masks only the inclusion-minimal ones are worth joining.
-    # On this 10-coloured tree the nice DP's largest table holds 17,297
-    # keys and takes seconds; without the two prunings the tree DP's holds
-    # a few hundred.
+    # On this 10-coloured tree the nice DP's largest table holds 42 keys;
+    # without the two prunings the tree DP's holds a few hundred.
     rng = random.Random(3)
     n = 200
     edges = [(rng.randrange(v), v) for v in range(1, n)]
@@ -410,6 +411,115 @@ def test_dp_matches_oracle_on_disjoint_unions_reusing_colours(pieces):
     part, comp = dp_optima(g)
     assert part == brute_min_partition(g).optimum
     assert comp == brute_min_deletions(g).optimum
+
+
+def test_dps_match_oracles_on_random_elimination_orders():
+    # each graph is solved without a decomposition and with a nice one built
+    # from a random elimination order, so the forget nodes that drop
+    # dominated keys see bags and orders the default decomposition never makes
+    rng = random.Random(9)
+    for _ in range(100):
+        g = random_coloured_graph(rng, n_max=7, colours_max=4)
+        order = list(range(g.n))
+        rng.shuffle(order)
+        nice = to_nice(_td_from_order(g, order), g)
+        blocks, deletions = brute_min_partition(g).optimum, brute_min_deletions(g).optimum
+        for supplied in (None, nice):
+            part = dp_partition(g, nice=supplied, max_width=6)
+            comp = dp_components(g, nice=supplied, max_width=6)
+            assert (part.optimum, comp.optimum) == (blocks, deletions)
+            assert is_colourful_partition(g, part.witness)
+            assert is_valid_deletion_set(g, comp.witness)
+
+
+def bridged_graph(rng):
+    """Two disjoint pieces, each two colourful 3-trees of five vertices
+    (colours from 1..6, so the two sides share a colour) joined by three
+    bridges from a triangle of one side to a triangle of the other.  Each
+    side is 3-edge-connected, so separating two same-coloured vertices on
+    opposite sides cuts three edges: the six bridges are an optimal
+    deletion set."""
+    colours, edges = [], []
+    for _ in range(2):
+        ends = []
+        for _ in range(2):
+            off = len(colours)
+            triangle = rng.sample(range(4), 3)
+            edges += [(off + u, off + v) for u, v in combinations(range(4), 2)]
+            edges += [(off + u, off + 4) for u in triangle]
+            ends.append([off + 4] + [off + u for u in rng.sample(triangle, 2)])
+            colours += rng.sample(range(1, 7), 5)
+        edges += zip(*ends)
+    return ColouredGraph.build(len(colours), tuple(colours), sorted(edges))
+
+
+def test_forget_nodes_keep_only_undominated_keys(monkeypatch):
+    # With every key kept, the same optima come from more states: strictly
+    # more on the bridged graphs, where about two thirds of the stored keys
+    # are dominated, and never fewer on small random graphs.
+    rng = random.Random(10)
+    bridged = [bridged_graph(rng) for _ in range(3)]
+    graphs = bridged + [
+        random_coloured_graph(rng, n_max=12, colours_max=4, extra_edges=8, connected=True)
+        for _ in range(6)
+    ]
+    pruned = [(dp_partition(g), dp_components(g)) for g in graphs]
+    monkeypatch.setattr(fpt, "_drop_dominated", lambda table, back: None)
+    for g, results in zip(graphs, pruned):
+        for dp, res in zip((dp_partition, dp_components), results):
+            full = dp(g)
+            assert res.optimum == full.optimum
+            assert res.stats["nodes"] == full.stats["nodes"]
+            assert res.stats["max_table"] <= full.stats["max_table"]
+            if g in bridged:
+                assert res.stats["states"] < full.stats["states"]
+            else:
+                assert res.stats["states"] <= full.stats["states"]
+
+
+def test_bridged_components_tables_after_dropping_dominated_keys():
+    # On these bridged graphs the components DP's largest table held 351,
+    # 461 and 346 keys before dominated keys were dropped at forget nodes.
+    rng = random.Random(11)
+    sizes = []
+    for _ in range(3):
+        g = bridged_graph(rng)
+        res = dp_components(g)
+        assert res.optimum == 6
+        assert is_valid_deletion_set(g, res.witness)
+        sizes.append(res.stats["max_table"])
+    assert sizes == [81, 99, 99]
+
+
+def test_a_key_that_differs_only_in_a_label_is_dominated(monkeypatch):
+    # Colour 1 dies in this decomposition while two parts hold it, so it
+    # becomes a label on both.  At a later forget node the same bag
+    # partition is also reached with no label at the same cost; the
+    # labelled key can only forbid more merges, so it is dropped.
+    g = ColouredGraph.build(
+        6, (1, 3, 1, 1, 3, 2), [(0, 1), (1, 2), (1, 4), (1, 5), (2, 3), (3, 5), (4, 5)]
+    )
+    nice = to_nice(_td_from_order(g, [2, 4, 1, 3, 0, 5]), g)
+    live = (1 << len(set(g.colours))) - 1
+    drops = []
+    keep = fpt._drop_dominated
+
+    def spy(table, back):
+        before = dict(table)
+        keep(table, back)
+        for key in before.keys() - table.keys():
+            drops.extend(
+                (key, other) for other in table
+                if [p for p, _ in other] == [p for p, _ in key]
+                and before[other] <= before[key]
+                and all(a & live == b & live and not b & ~a for (_, a), (_, b) in zip(key, other))
+            )
+
+    monkeypatch.setattr(fpt, "_drop_dominated", spy)
+    res = dp_partition(g, nice=nice)
+    assert drops
+    assert res.optimum == brute_min_partition(g).optimum
+    assert is_colourful_partition(g, res.witness)
 
 
 # ---------------------------------------------------------------------------

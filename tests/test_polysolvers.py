@@ -191,6 +191,29 @@ def test_tw2_solver_two_components():
     assert solve_2cp_treewidth2(g3) is None
 
 
+def test_tw2_solver_splits_only_a_disconnected_graph():
+    # the certificate's search tells whether the graph is connected; the
+    # answers on graphs of one, two and more components match brute force
+    rng = random.Random(4)
+    seen = {1: 0, 2: 0, 3: 0}
+    for _ in range(300):
+        g = random_coloured_graph(rng, n_max=7, colours_max=5)
+        classes = _colour_classes(g)
+        comps = len(connected_components(g))
+        if g.n and max(map(len, classes)) <= 2:
+            assert _cut_certificate(g, classes)[0] == (comps == 1)
+        try:
+            part = solve_2cp_treewidth2(g)
+        except UnsupportedInstanceError:
+            continue
+        seen[min(comps, 3)] += 1
+        opt = brute_min_partition(g).optimum
+        assert (part is None) == (opt > 2)
+        if part is not None:
+            assert len(part) == opt and is_colourful_partition(g, part)
+    assert min(seen.values()) >= 20, seen
+
+
 def test_tw2_solver_colourful_graph_is_one_block():
     g = ColouredGraph.build(3, (1, 2, 3), [(0, 1), (1, 2)])
     assert solve_2cp_treewidth2(g) == (frozenset({0, 1, 2}),)
@@ -418,7 +441,8 @@ def test_cut_certificate_agrees_with_plain_search_and_two_block_search():
     seen = dict.fromkeys(["certified", "two bad", "under two bad", "yes", "wide"], 0)
     for _ in range(500):
         g = glued_pieces(rng)
-        c = _cut_certificate(g, _colour_classes(g))
+        connected, c = _cut_certificate(g, _colour_classes(g))
+        assert connected
         if c is None:
             assert not any(hostless(g, v) for v in range(g.n))
         else:
@@ -457,7 +481,7 @@ def test_cut_certificate_partner_rule_alone():
     for v in range(g.n):
         repeating = [comp for comp in components_without(g, v) if not is_colourful_set(g, comp)]
         assert len(repeating) <= 1
-    c = _cut_certificate(g, _colour_classes(g))
+    c = _cut_certificate(g, _colour_classes(g))[1]
     assert c in (0, 3) and hostless(g, c) and bad_components(g, c) == 2
     assert solve_2cp_treewidth2(g) is None
     assert find_two_partition(g) is None
@@ -469,7 +493,7 @@ def test_one_bad_component_falls_through_to_the_formulas():
     and the formulas find the block {3}."""
     g = ColouredGraph.build(6, (1, 2, 3, 2, 4, 5), [(0, 1), (0, 4), (1, 2), (2, 3), (4, 5)])
     assert bad_components(g, 0) == 1
-    assert _cut_certificate(g, _colour_classes(g)) is None
+    assert _cut_certificate(g, _colour_classes(g)) == (True, None)
     stats = {}
     part = solve_2cp_treewidth2(g, stats)
     assert part is not None and len(part) == 2 and is_colourful_partition(g, part)
@@ -486,13 +510,14 @@ def test_cut_certificate_on_a_long_path_is_linear_and_iterative():
     colours = list(range(1, k + 1)) * 2 + list(range(k + 1, 2 * k + 1)) * 2
     g = ColouredGraph.build(4 * k, colours, [(i, i + 1) for i in range(4 * k - 1)])
     start = time.perf_counter()
-    c = _cut_certificate(g, _colour_classes(g))
+    connected, c = _cut_certificate(g, _colour_classes(g))
     assert time.perf_counter() - start < 2
+    assert connected
     assert c is not None and 0 < c < 4 * k - 1
     assert hostless(g, c)
     # colours 1..k twice along the path: the middle splits every pair
     half = ColouredGraph.build(2 * k, colours[: 2 * k], [(i, i + 1) for i in range(2 * k - 1)])
-    assert _cut_certificate(half, _colour_classes(half)) is None
+    assert _cut_certificate(half, _colour_classes(half)) == (True, None)
 
 
 # ---------------------------------------------------------------------------
