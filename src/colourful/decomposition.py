@@ -288,7 +288,7 @@ def exact_tree_decomposition(
 class NiceTreeDecomposition:
     """Rooted decomposition whose nodes are leaves (empty bag), introduce and
     forget nodes (one-vertex delta) and joins (two children, same bag).
-    The root is a forget node with an empty bag (a bare leaf for n = 0)."""
+    The root has an empty bag: a forget node, a join, or a bare leaf."""
 
     bags: tuple[frozenset[int], ...]
     kind: tuple[str, ...]
@@ -333,8 +333,6 @@ class NiceTreeDecomposition:
                 raise ValueError(f"unknown node kind {knd}")
         if self.bags[self.root]:
             raise ValueError("root bag must be empty")
-        if g.n > 0 and self.kind[self.root] != "forget":
-            raise ValueError("root must be a forget node")
         # behaves as a tree decomposition too
         edges = []
         for i, cs in enumerate(self.children):
@@ -343,7 +341,7 @@ class NiceTreeDecomposition:
 
 
 def to_nice(td: TreeDecomposition, g: ColouredGraph) -> NiceTreeDecomposition:
-    """Convert a tree decomposition into a nice one rooted at a forget node."""
+    """Convert a tree decomposition into a nice one with an empty root bag."""
     bags: list[frozenset[int]] = []
     kind: list[str] = []
     children: list[tuple[int, ...]] = []
@@ -366,11 +364,6 @@ def to_nice(td: TreeDecomposition, g: ColouredGraph) -> NiceTreeDecomposition:
         return node
 
     nb = td.neighbours()
-    if g.n == 0:
-        root = add("leaf", frozenset(), (), None)
-        return NiceTreeDecomposition(
-            tuple(bags), tuple(kind), tuple(children), tuple(delta), root
-        )
 
     def kids(i: int, parent: int | None) -> list[int]:
         """The children of td node i, ordered by the sorted colours they
@@ -413,9 +406,6 @@ def to_nice(td: TreeDecomposition, g: ColouredGraph) -> NiceTreeDecomposition:
         parent_tops.append(chain_to(top, parent_held))
 
     root = chain_to(top, frozenset())
-    if kind[root] != "forget":  # td.bags[0] was already empty
-        root = add("introduce", bags[root] | {0}, (root,), 0)
-        root = add("forget", bags[root] - {0}, (root,), 0)
     return NiceTreeDecomposition(
         tuple(bags), tuple(kind), tuple(children), tuple(delta), root
     )

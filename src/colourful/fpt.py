@@ -163,16 +163,39 @@ class _Bits:
         return dying
 
 
-def _default_nice(
-    g: ColouredGraph, nice: NiceTreeDecomposition | None, max_width: int
-) -> NiceTreeDecomposition:
-    if nice is not None:
-        nice.validate(g)
-        return nice
-    td = exact_tree_decomposition(g, max_width)
-    if td is None:
-        raise UnsupportedInstanceError(f"treewidth exceeds {max_width}")
-    return to_nice(td, g)
+def _dp(
+    g: ColouredGraph, problem: str, nice: NiceTreeDecomposition | None, max_width: int
+) -> SolveResult:
+    """`dp_partition` and `dp_components`, by `problem`: the two differ only
+    in the steps `_tree_dp` takes and in the witness they check."""
+    steps = {
+        "partition": (_partition_introduce, _partition_join, _partition_project),
+        "components": (_components_introduce, _components_join, _components_project),
+    }[problem]
+
+    def solve(sub: ColouredGraph, nice: NiceTreeDecomposition | None = None) -> SolveResult:
+        # `sub` is connected, so it is a tree iff it has n - 1 edges
+        if nice is None and sub.m == sub.n - 1:
+            cuts, classes, stats = _tree_pieces(sub)
+            optimum = cuts + 1 if problem == "partition" else cuts
+        else:
+            if nice is not None:
+                nice.validate(sub)
+            elif (td := exact_tree_decomposition(sub, max_width)) is None:
+                raise UnsupportedInstanceError(f"treewidth exceeds {max_width}")
+            else:
+                nice = to_nice(td, sub)
+            optimum, backs, stats = _tree_dp(sub, nice, *steps)
+            classes = _replay(nice, backs, sub.n)
+        if problem == "partition":
+            witness = canonical_partition(classes)
+            assert len(witness) == optimum and is_colourful_partition(sub, witness)
+        else:
+            witness = crossing_edges(sub, classes)
+            assert len(witness) == optimum and is_valid_deletion_set(sub, witness)
+        return SolveResult(problem, optimum, witness, "treewidth-dp", stats)
+
+    return solve(g, nice) if nice is not None else solve_by_component(g, problem, solve)
 
 
 def _tree_dp(
@@ -500,23 +523,7 @@ def dp_partition(
     decomposition covers the whole graph; without one, each connected
     component gets its own decomposition and DP, except that a tree
     component goes to `_tree_pieces`."""
-
-    def solve(sub: ColouredGraph, nice: NiceTreeDecomposition | None = None) -> SolveResult:
-        # `sub` is connected, so it is a tree iff it has n - 1 edges
-        if nice is None and sub.m == sub.n - 1:
-            cuts, classes, stats = _tree_pieces(sub)
-            optimum = cuts + 1
-        else:
-            nice = _default_nice(sub, nice, max_width)
-            optimum, backs, stats = _tree_dp(
-                sub, nice, _partition_introduce, _partition_join, _partition_project
-            )
-            classes = _replay(nice, backs, sub.n)
-        witness = canonical_partition(classes)
-        assert len(witness) == optimum and is_colourful_partition(sub, witness)
-        return SolveResult("partition", optimum, witness, "treewidth-dp", stats)
-
-    return solve(g, nice) if nice is not None else solve_by_component(g, "partition", solve)
+    return _dp(g, "partition", nice, max_width)
 
 
 # ---------------------------------------------------------------------------
@@ -567,8 +574,6 @@ def _components_join(bits: _Bits, bag: int, left: Table, right: Table) -> Moves:
 
 def _components_project(bits: _Bits, key: Key, dying: int) -> Key:
     """Classes never merge, so a dead colour leaves every part."""
-    if not dying:
-        return key
     return tuple((part, rho & ~dying) for part, rho in key)
 
 
@@ -584,23 +589,7 @@ def dp_components(
     decomposition covers the whole graph; without one, each connected
     component gets its own decomposition and DP, except that a tree
     component goes to `_tree_pieces`."""
-
-    def solve(sub: ColouredGraph, nice: NiceTreeDecomposition | None = None) -> SolveResult:
-        # `sub` is connected, so it is a tree iff it has n - 1 edges
-        if nice is None and sub.m == sub.n - 1:
-            optimum, classes, stats = _tree_pieces(sub)
-        else:
-            nice = _default_nice(sub, nice, max_width)
-            optimum, backs, stats = _tree_dp(
-                sub, nice, _components_introduce, _components_join, _components_project
-            )
-            classes = _replay(nice, backs, sub.n)
-        deleted = crossing_edges(sub, classes)
-        assert len(deleted) == optimum
-        assert is_valid_deletion_set(sub, deleted)
-        return SolveResult("components", optimum, deleted, "treewidth-dp", stats)
-
-    return solve(g, nice) if nice is not None else solve_by_component(g, "components", solve)
+    return _dp(g, "components", nice, max_width)
 
 
 # ---------------------------------------------------------------------------

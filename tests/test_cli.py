@@ -464,6 +464,17 @@ def test_td_compute_and_validate(example1_file, tmp_path, capsys):
     assert code == 0 and out.strip() == "ok width 2"
 
 
+def test_td_compute_finds_the_width_greedy_misses_by_one(tmp_path, capsys):
+    # min-degree elimination gives width 4 here, the exact search 3
+    edges = [(0, 2), (0, 3), (0, 5), (1, 2), (1, 3), (1, 4), (1, 5), (2, 4), (3, 4), (4, 5)]
+    inst, td_file = tmp_path / "g.cg", tmp_path / "g.td"
+    inst.write_text(serialize_instance(ColouredGraph.build(6, (1,) * 6, edges)))
+    code, out, _ = run(capsys, "td", "compute", inst, "-o", td_file)
+    assert code == 0 and out.strip() == "width 3"
+    code, out, _ = run(capsys, "td", "validate", inst, td_file)
+    assert code == 0 and out.strip() == "ok width 3"
+
+
 def test_td_validate_rejects_mismatched_decomposition(tmp_path, capsys):
     inst = tmp_path / "p2.cg"
     inst.write_text("cgraph 2 1\nv 0 1\nv 1 2\ne 0 1\n")
@@ -615,6 +626,22 @@ def test_solve_with_a_decomposition_answers_by_the_dp(tmp_path, capsys):
         assert out.splitlines() == [plain.splitlines()[0], "solver treewidth-dp"]
     code, _, err = run(capsys, "solve", "--td", td_file, "--algo", "vc", inst)
     assert code == 3 and "no applicable solver" in err
+
+
+def test_solve_over_a_decomposition_whose_empty_root_bag_has_two_children(tmp_path, capsys):
+    # node 0 holds no vertex and joins the bags of the two edges; the nice
+    # form keeps it as a join root
+    inst, td_file = tmp_path / "g.cg", tmp_path / "g.td"
+    inst.write_text("cgraph 4 2\nv 0 1\nv 1 2\nv 2 1\nv 3 2\ne 0 1\ne 2 3\n")
+    td_file.write_text("td 3 1\nbag 0\nbag 1 0 1\nbag 2 2 3\nte 0 1\nte 0 2\n")
+    code, out, _ = run(capsys, "td", "validate", inst, td_file)
+    assert code == 0 and out.strip() == "ok width 1"
+    for problem, answer in (("partition", "partition 2"), ("components", "deletions 0")):
+        sol = tmp_path / f"{problem}.sol"
+        code, out, _ = run(capsys, "solve", "--problem", problem, "--td", td_file, "-o", sol, inst)
+        assert code == 0 and out.splitlines() == [answer, "solver treewidth-dp"]
+        code, _, _ = run(capsys, "check", inst, sol)
+        assert code == 0
 
 
 def test_solve_answers_a_long_tree_in_seconds(tmp_path):

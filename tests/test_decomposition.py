@@ -140,6 +140,16 @@ def test_greedy_decides_width_two_at_any_size():
         assert time.perf_counter() - start < 2
 
 
+def test_exact_branch_finds_the_width_greedy_misses_by_one():
+    edges = [(0, 2), (0, 3), (0, 5), (1, 2), (1, 3), (1, 4), (1, 5), (2, 4), (3, 4), (4, 5)]
+    g = ColouredGraph.build(6, (1,) * 6, edges)
+    assert _greedy_min_degree_order(g.adj)[1] == 4
+    td = exact_tree_decomposition(g, 3)
+    td.validate(g)
+    assert td.width == 3
+    assert exact_tree_decomposition(g, 2) is None
+
+
 def test_validate_rejects_broken_decompositions():
     g = ColouredGraph.build(3, (1, 1, 1), [(0, 1), (1, 2)])
     # vertex 2 uncovered
@@ -248,6 +258,22 @@ def test_to_nice_validates_on_random_graphs():
         nice = to_nice(td, g)
         nice.validate(g)
         assert nice.bags[nice.root] == frozenset()
+
+
+def test_to_nice_roots_an_empty_bag_with_two_children_at_a_join():
+    g = ColouredGraph.build(4, (1, 2, 1, 2), [(0, 1), (2, 3)])
+    td = TreeDecomposition(
+        (frozenset(), frozenset({0, 1}), frozenset({2, 3})), ((0, 1), (0, 2))
+    )
+    nice = to_nice(td, g)
+    nice.validate(g)
+    assert nice.kind[nice.root] == "join" and nice.bags[nice.root] == frozenset()
+
+
+def test_to_nice_of_the_empty_graph_is_one_leaf():
+    g = ColouredGraph.build(0, (), [])
+    nice = to_nice(TreeDecomposition((frozenset(),), ()), g)
+    assert (nice.kind, nice.root) == (("leaf",), 0)
 
 
 def test_to_nice_handles_empty_graph():

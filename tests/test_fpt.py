@@ -1,5 +1,6 @@
 import random
 import time
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from colourful.decomposition import (
     NiceTreeDecomposition,
+    TreeDecomposition,
     _td_from_order,
     exact_tree_decomposition,
     to_nice,
@@ -25,7 +27,12 @@ from colourful.graph import (
     is_colourful_partition,
     is_valid_deletion_set,
 )
-from colourful.oracle import brute_min_deletions, brute_min_partition, tree_min_deletions
+from colourful.oracle import (
+    brute_min_deletions,
+    brute_min_deletions_partitions,
+    brute_min_partition,
+    tree_min_deletions,
+)
 
 from helpers import (
     random_coloured_graph,
@@ -432,6 +439,47 @@ def test_dps_match_oracles_on_random_elimination_orders():
             assert is_valid_deletion_set(g, comp.witness)
 
 
+def padded_decomposition(rng, g):
+    """A tree decomposition of g from a random elimination order, with one
+    to three empty bags hung anywhere and the node ids shuffled, so that
+    node 0 may hold an empty bag with any number of children."""
+    order = list(range(g.n))
+    rng.shuffle(order)
+    td = _td_from_order(g, order)
+    bags, edges = list(td.bags), list(td.edges)
+    for _ in range(rng.randint(1, 3)):
+        edges.append((rng.randrange(len(bags)), len(bags)))
+        bags.append(frozenset())
+    new_id = list(range(len(bags)))
+    rng.shuffle(new_id)
+    relabelled = [frozenset()] * len(bags)
+    for i, bag in enumerate(bags):
+        relabelled[new_id[i]] = bag
+    return TreeDecomposition(
+        tuple(relabelled), tuple((new_id[i], new_id[j]) for i, j in edges)
+    )
+
+
+def test_dps_match_oracles_over_relabelled_decompositions_padded_with_empty_bags():
+    # The nice form's root is td node 0 chained down to the empty bag: a
+    # join where node 0 is an empty bag over two or more subtrees, else a
+    # forget node.  Both DPs read the root's empty key whatever its kind.
+    rng = random.Random(24)
+    roots = Counter()
+    for _ in range(400):
+        g = random_coloured_graph(rng, n_max=8, colours_max=4)
+        td = padded_decomposition(rng, g)
+        td.validate(g)
+        nice = to_nice(td, g)
+        roots[nice.kind[nice.root]] += 1
+        part, comp = dp_partition(g, nice=nice), dp_components(g, nice=nice)
+        assert part.optimum == brute_min_partition(g).optimum
+        assert comp.optimum == brute_min_deletions_partitions(g).optimum
+        assert is_colourful_partition(g, part.witness)
+        assert is_valid_deletion_set(g, comp.witness)
+    assert roots["join"] > 0 and roots["forget"] > 0
+
+
 def bridged_graph(rng):
     """Two disjoint pieces, each two colourful 3-trees of five vertices
     (colours from 1..6, so the two sides share a colour) joined by three
@@ -578,6 +626,13 @@ def test_vc_pipeline_refuses_large_covers():
         solve_partition_vc(g, max_cover=3)
 
 
+def test_vc_pipeline_refuses_a_large_kernel():
+    # the cover is {0, 1}; vertex 2 stays in the kernel, past a cap of 0
+    g = ColouredGraph.build(3, (1, 2, 3), [(0, 1), (1, 2)])
+    with pytest.raises(UnsupportedInstanceError, match="kernel keeps 1 > 0 independent vertices"):
+        solve_partition_vc(g, kernel_cap=0)
+
+
 def test_vc_pipeline_duplicate_class_reduction():
     """Many twin leaves of one colour collapse into the kernel and come back
     as singletons."""
@@ -648,6 +703,14 @@ def test_nonunique_refuses_many_repeats():
     )
     with pytest.raises(UnsupportedInstanceError):
         solve_partition_nonunique(g, max_q=4)
+
+
+def test_nonunique_refuses_a_large_connected_subgraph_search():
+    # all four vertices repeat a colour and two blocks may do, so the search
+    # below q blocks would run on n = 4, past a cap of 3
+    g = ColouredGraph.build(4, (1, 2, 1, 2), [(0, 1), (1, 2), (2, 3)])
+    with pytest.raises(UnsupportedInstanceError, match="connected-subgraph search supports n <= 3"):
+        solve_partition_nonunique(g, dcs_cap=3)
 
 
 def test_nonunique_lower_bound_met_by_seed_growth():
