@@ -51,6 +51,7 @@ from .graph import (
     solve_by_component,
 )
 from .oracle import (
+    BRUTE_DELETIONS_MAX_EDGES,
     brute_min_deletions,
     brute_min_deletions_partitions,
     brute_min_partition,
@@ -141,7 +142,7 @@ def _oracle(g, problem, k, max_colours) -> SolveResult | None:
         if part is None:
             return None
         return SolveResult("partition", len(part), part, "two-block-search", {})
-    if g.m <= 20:
+    if g.m <= BRUTE_DELETIONS_MAX_EDGES:
         return brute_min_deletions(g)
     return brute_min_deletions_partitions(g, cap=ORACLE_CAP)
 

@@ -245,9 +245,11 @@ def _td_from_order(g: ColouredGraph, order: list[int]) -> TreeDecomposition:
     return _td_from_seps(order, [_eliminate(adj, v) for v in order])
 
 
-def exact_tree_decomposition(
-    g: ColouredGraph, max_width: int, exact_cap: int = 30
-) -> TreeDecomposition | None:
+# The most vertices the exact branch-and-bound treewidth decision takes.
+EXACT_TREEWIDTH_MAX_N = 30
+
+
+def exact_tree_decomposition(g: ColouredGraph, max_width: int) -> TreeDecomposition | None:
     """A tree decomposition of width <= max_width, or None if none exists.
 
     A min-degree greedy ordering is tried first for any size.  For
@@ -255,8 +257,8 @@ def exact_tree_decomposition(
     most 2 leaves a minor, so when greedy meets only degrees of 3 or more,
     the graph has a minor of minimum degree 3 and treewidth at least 3.
     Otherwise the exact branch-and-bound decision only runs for
-    n <= exact_cap; larger graphs that greedy cannot certify raise, since
-    neither answer would be safe.
+    n <= EXACT_TREEWIDTH_MAX_N; larger graphs that greedy cannot certify
+    raise, since neither answer would be safe.
     """
     if g.n == 0:
         return TreeDecomposition((frozenset(),), ())
@@ -267,9 +269,9 @@ def exact_tree_decomposition(
         return td
     if max_width <= 2:
         return None
-    if g.n > exact_cap:
+    if g.n > EXACT_TREEWIDTH_MAX_N:
         raise UnsupportedInstanceError(
-            f"exact treewidth decision supports n <= {exact_cap}, got n = {g.n}"
+            f"exact treewidth decision supports n <= {EXACT_TREEWIDTH_MAX_N}, got n = {g.n}"
         )
     order2 = _order_decision([set(s) for s in g.adj], max_width)
     if order2 is None:
@@ -296,52 +298,47 @@ class NiceTreeDecomposition:
     delta: tuple[int | None, ...]
     root: int
 
-    def postorder(self) -> list[int]:
-        out: list[int] = []
-        stack: list[tuple[int, bool]] = [(self.root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                out.append(node)
-            else:
-                stack.append((node, True))
-                for c in self.children[node]:
-                    stack.append((c, False))
-        return out
-
     def validate(self, g: ColouredGraph) -> None:
-        for i, knd in enumerate(self.kind):
-            cs = self.children[i]
-            if knd == "leaf":
-                if cs or self.bags[i]:
-                    raise ValueError(f"leaf {i} must have no children, empty bag")
-            elif knd == "introduce":
-                (c,) = cs
-                v = self.delta[i]
-                if v is None or self.bags[i] != self.bags[c] | {v} or v in self.bags[c]:
-                    raise ValueError(f"introduce node {i} malformed")
-            elif knd == "forget":
-                (c,) = cs
-                v = self.delta[i]
-                if v is None or self.bags[c] != self.bags[i] | {v} or v in self.bags[i]:
-                    raise ValueError(f"forget node {i} malformed")
-            elif knd == "join":
-                a, b = cs
-                if not self.bags[i] == self.bags[a] == self.bags[b]:
-                    raise ValueError(f"join node {i} must copy its children's bag")
-            else:
-                raise ValueError(f"unknown node kind {knd}")
-        if self.bags[self.root]:
-            raise ValueError("root bag must be empty")
+        """Raise ValueError, naming the node at fault, unless this is a nice
+        tree decomposition of g rooted at `root`."""
+        k = len(self.bags)
+        arity = {"leaf": 0, "introduce": 1, "forget": 1, "join": 2}
+        rows = zip(self.kind, self.children, self.bags, self.delta, strict=True)
+        for i, (knd, cs, bag, v) in enumerate(rows):
+            if knd not in arity:
+                raise ValueError(f"node {i} has unknown kind {knd!r}")
+            if len(cs) != arity[knd] or not all(0 <= c < k for c in cs):
+                want = f"want {arity[knd]} in 0..{k - 1}"
+                raise ValueError(f"{knd} node {i} has children {cs}: {want}")
+            below = self.bags[cs[0]] if cs else frozenset()
+            if (
+                knd == "leaf" and bag
+                or knd == "introduce" and (v is None or v in below or bag != below | {v})
+                or knd == "forget" and (v is None or v in bag or below != bag | {v})
+                or knd == "join" and not bag == below == self.bags[cs[1]]
+            ):
+                raise ValueError(f"{knd} node {i} malformed")
+        if not 0 <= self.root < k or self.bags[self.root]:
+            raise ValueError(f"root {self.root} must be a node with an empty bag")
+        kids = sorted(c for cs in self.children for c in cs)
+        if kids != [i for i in range(k) if i != self.root]:
+            raise ValueError(f"every node but the root {self.root} must be one node's child")
         # behaves as a tree decomposition too
-        edges = []
-        for i, cs in enumerate(self.children):
-            edges.extend((i, c) for c in cs)
-        TreeDecomposition(self.bags, tuple(edges)).validate(g)
+        edges = tuple((i, c) for i, cs in enumerate(self.children) for c in cs)
+        TreeDecomposition(self.bags, edges).validate(g)
 
 
 def to_nice(td: TreeDecomposition, g: ColouredGraph) -> NiceTreeDecomposition:
-    """Convert a tree decomposition into a nice one with an empty root bag."""
+    """Convert a tree decomposition into a nice one with an empty root bag.
+
+    The tree of bags is rooted at node 0 by `search` and built children
+    first, in reverse visit order.  A node's children are ordered by the
+    sorted colours they forget on the way up to it, then by id: same-coloured
+    twins sit next to each other and are joined close together, so the DP
+    can drop their colour soon after.  Each child's top is chained to the
+    part of the node's bag that some child holds, the children are joined on
+    that part, and one chain above the joins introduces the rest of the
+    node's bag, once.  A leaf of the tree starts from a nice leaf."""
     bags: list[frozenset[int]] = []
     kind: list[str] = []
     children: list[tuple[int, ...]] = []
@@ -364,48 +361,23 @@ def to_nice(td: TreeDecomposition, g: ColouredGraph) -> NiceTreeDecomposition:
         return node
 
     nb = td.neighbours()
-
-    def kids(i: int, parent: int | None) -> list[int]:
-        """The children of td node i, ordered by the sorted colours they
-        forget on the way up to i, then by id: same-coloured twins sit next
-        to each other and are joined close together, so the DP can drop
-        their colour soon after."""
-        return sorted(
-            nb[i] - {parent},
-            key=lambda j: (sorted(g.colours[v] for v in td.bags[j] - td.bags[i]), j),
+    up = search(nb, 0)
+    tops: dict[int, int] = {}  # the nice node of each finished td node's bag
+    for i in reversed(up):
+        bag = td.bags[i]
+        todo = sorted(
+            nb[i] - {up[i]}, key=lambda j: (sorted(g.colours[v] for v in td.bags[j] - bag), j)
         )
-
-    def frame(i: int, parent: int | None):
-        """A td node, its children in `kids` order, the part of its bag that
-        some child holds, and the tops built so far."""
-        todo = kids(i, parent)
-        held = td.bags[i] & frozenset().union(*(td.bags[j] for j in todo))
-        return i, todo, held, []
-
-    # Depth-first over the td tree with an explicit stack.  Each finished
-    # child's top is chained to its parent's held bag; the children are
-    # joined on that bag, and one chain above the joins introduces the rest
-    # of the node's bag, once.  A leaf td node starts from a nice leaf.
-    frames = [frame(0, None)]
-    while True:
-        i, todo, held, tops = frames[-1]
-        if len(tops) < len(todo):
-            frames.append(frame(todo[len(tops)], i))
-            continue
-        frames.pop()
-        if not todo:
-            tops.append(add("leaf", frozenset(), (), None))
-        while len(tops) > 1:
-            b = tops.pop()
-            a = tops.pop()
-            tops.append(add("join", held, (a, b), None))
-        top = chain_to(tops[0], td.bags[i])
-        if not frames:
-            break
-        _, _, parent_held, parent_tops = frames[-1]
-        parent_tops.append(chain_to(top, parent_held))
-
-    root = chain_to(top, frozenset())
+        held = bag & frozenset().union(*(td.bags[j] for j in todo))
+        joined = [chain_to(tops.pop(j), held) for j in todo]
+        if not joined:
+            joined.append(add("leaf", frozenset(), (), None))
+        while len(joined) > 1:
+            b = joined.pop()
+            a = joined.pop()
+            joined.append(add("join", held, (a, b), None))
+        tops[i] = chain_to(joined[0], bag)
+    root = chain_to(tops[0], frozenset())
     return NiceTreeDecomposition(
         tuple(bags), tuple(kind), tuple(children), tuple(delta), root
     )

@@ -19,9 +19,11 @@ from .graph import (
     UnsupportedInstanceError,
     canonical_partition,
     crossing_edges,
+    find,
     induces_connected,
     is_colourful_partition,
     is_valid_deletion_set,
+    postorder,
     search,
     solve_by_component,
 )
@@ -57,17 +59,6 @@ EMPTY_KEY: Key = ()
 Moves = Iterable[tuple[Key, int, tuple]]
 
 
-def _find(link: list[int], x: int) -> int:
-    """The root of x in a union-find forest of parent links, compressing
-    the path to it."""
-    root = x
-    while link[root] != root:
-        root = link[root]
-    while link[x] != root:
-        link[x], x = root, link[x]
-    return root
-
-
 def _members(mask: int) -> Iterator[int]:
     """The vertex ids of a part mask."""
     while mask:
@@ -83,7 +74,7 @@ class _Bits:
     mask; per node, the mask of the colours dying there."""
 
     def __init__(
-        self, g: ColouredGraph, nice: NiceTreeDecomposition, order: list[int]
+        self, g: ColouredGraph, nice: NiceTreeDecomposition, order: list[int], up: list[int]
     ) -> None:
         rank = {c: i for i, c in enumerate(sorted(set(g.colours)))}
         self.ncol = len(rank)
@@ -93,7 +84,7 @@ class _Bits:
         # A label names a set of part indices, and a key has at most one
         # part per bag vertex, so labels fit in this many bits.
         self.label_span = 1 << max(map(len, nice.bags))
-        self.dying = self._dying(nice, order)
+        self.dying = self._dying(nice, order, up)
         self._colours: dict[int, int] = {}
         self._plans: dict[tuple[tuple[int, ...], tuple[int, ...]], list | None] = {}
 
@@ -132,34 +123,28 @@ class _Bits:
             self._plans[pair] = plan if all(m >= 0 for _, m, _ in plan) else None
         return self._plans[pair]
 
-    def _dying(self, nice: NiceTreeDecomposition, order: list[int]) -> dict[int, int]:
+    def _dying(
+        self, nice: NiceTreeDecomposition, order: list[int], up: list[int]
+    ) -> dict[int, int]:
         """A colour dies at the lowest common ancestor of the forget nodes of
         all its vertices, which is that of the first and the last of them in
-        postorder.  One postorder pass finds it: a union-find links each node
-        to its parent once the parent is reached, so a finished node's set is
-        rooted at its highest finished ancestor h, and the ancestor it shares
-        with the current node is that node itself if h is it, and otherwise
-        the parent of h."""
-        up = [-1] * len(nice.bags)
-        for node, kids in enumerate(nice.children):
-            for child in kids:
-                up[child] = node
+        postorder.  One postorder pass finds it by Tarjan's offline method: a
+        union-find links each finished node to its parent, so a finished
+        node's set is rooted at its lowest unfinished ancestor, which is the
+        ancestor it shares with the current node."""
         link = list(range(len(nice.bags)))
         left = Counter(self.colour)
         first: dict[int, int] = {}
         dying: dict[int, int] = {}
         for node in order:
-            for child in nice.children[node]:
-                link[child] = node
-            if nice.kind[node] != "forget":
-                continue
-            colour = self.colour[nice.delta[node]]
-            first.setdefault(colour, node)
-            left[colour] -= 1
-            if left[colour] == 0:
-                top = _find(link, first[colour])
-                at = node if top == node else up[top]
-                dying[at] = dying.get(at, 0) | colour
+            if nice.kind[node] == "forget":
+                colour = self.colour[nice.delta[node]]
+                first.setdefault(colour, node)
+                left[colour] -= 1
+                if left[colour] == 0:
+                    at = find(link, first[colour])
+                    dying[at] = dying.get(at, 0) | colour
+            link[node] = up[node]  # the root comes last: its -1 is never followed
         return dying
 
 
@@ -185,8 +170,9 @@ def _dp(
                 raise UnsupportedInstanceError(f"treewidth exceeds {max_width}")
             else:
                 nice = to_nice(td, sub)
-            optimum, backs, stats = _tree_dp(sub, nice, *steps)
-            classes = _replay(nice, backs, sub.n)
+            order, up = postorder(nice.children, nice.root)
+            optimum, backs, stats = _tree_dp(sub, nice, order, up, *steps)
+            classes = _replay(nice, order, backs, sub.n)
         if problem == "partition":
             witness = canonical_partition(classes)
             assert len(witness) == optimum and is_colourful_partition(sub, witness)
@@ -201,20 +187,22 @@ def _dp(
 def _tree_dp(
     g: ColouredGraph,
     nice: NiceTreeDecomposition,
+    order: list[int],
+    up: list[int],
     introduce: Callable[[_Bits, int, int, Table], Moves],
     join: Callable[[_Bits, int, Table, Table], Moves],
     project: Callable[[_Bits, Key, int], Key],
 ) -> tuple[int, dict[int, dict[Key, tuple]], dict[str, int]]:
-    """Bottom-up minimisation over the nice decomposition: each node keeps,
-    per key, the least value of the moves reaching it and the first move
+    """Bottom-up minimisation over the nice decomposition, along its
+    postorder `order`, with each node's parent in `up`: each node keeps, per
+    key, the least value of the moves reaching it and the first move
     attaining it.  Keys are projected where colours die, and wherever a
     child table holds labels, whose holders' indices may have moved.  A
     forget node then drops its dominated keys.  Bags are passed to the steps
     as vertex masks.  Returns the root value, the back-pointer tables and
     the stats: the nice nodes, the size of the largest table and the entries
     kept over all tables."""
-    order = nice.postorder()
-    bits = _Bits(g, nice, order)
+    bits = _Bits(g, nice, order, up)
     tables: dict[int, Table] = {}
     bags: dict[int, int] = {}
     labelled: set[int] = set()  # nodes whose table holds label bits
@@ -306,27 +294,26 @@ def _drop_dominated(table: Table, back: dict[Key, tuple]) -> None:
 
 
 def _replay(
-    nice: NiceTreeDecomposition, backs: dict[int, dict[Key, tuple]], n: int
+    nice: NiceTreeDecomposition, order: list[int], backs: dict[int, dict[Key, tuple]], n: int
 ) -> list[frozenset[int]]:
     """The classes of an optimal solution.  Follow the back-pointers down
-    from the root's empty key; each chosen introduce puts its vertex in one
-    class with a vertex of every part it merged, in a union-find over the
-    vertices.  Nothing else is needed: the vertices of a part already share
-    a class, and the parts a join glues share a bag vertex."""
+    from the root's empty key, along the postorder `order` reversed, which
+    reaches each node after its parent; each chosen introduce puts its
+    vertex in one class with a vertex of every part it merged, in a
+    union-find over the vertices.  Nothing else is needed: the vertices of a
+    part already share a class, and the parts a join glues share a bag
+    vertex."""
     link = list(range(n))
     chosen: dict[int, Key] = {nice.root: EMPTY_KEY}
-    stack = [nice.root]
-    while stack:
-        node = stack.pop()
-        info = backs[node][chosen[node]]
+    for node in reversed(order):
+        info = backs[node][chosen.pop(node)]
         if info[0] == "i":
-            v = _find(link, nice.delta[node])
+            v = find(link, nice.delta[node])
             for i in info[2]:
                 part = info[1][i][0]
-                link[_find(link, (part & -part).bit_length() - 1)] = v
+                link[find(link, (part & -part).bit_length() - 1)] = v
         for child, ckey in zip(nice.children[node], info[1:]):
             chosen[child] = ckey
-            stack.append(child)
     return _classes(link)
 
 
@@ -334,7 +321,7 @@ def _classes(link: list[int]) -> list[frozenset[int]]:
     """The sets of a union-find forest over 0..len(link)-1."""
     classes: dict[int, set[int]] = {}
     for u in range(len(link)):
-        classes.setdefault(_find(link, u), set()).add(u)
+        classes.setdefault(find(link, u), set()).add(u)
     return [frozenset(cls) for cls in classes.values()]
 
 

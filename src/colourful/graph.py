@@ -126,6 +126,35 @@ def components(
     return out
 
 
+def postorder(children: Sequence[Sequence[int]], root: int) -> tuple[list[int], list[int]]:
+    """The nodes hanging from ``root`` by the child lists ``children``, in
+    postorder with each node's children in their listed order, and each
+    node's parent (-1 for the root and nodes not reached).  The order is a
+    preorder reversed, so each subtree is one run of it, as Tarjan's offline
+    lowest common ancestors need."""
+    parent = [-1] * len(children)
+    order, todo = [], [root]
+    while todo:
+        t = todo.pop()
+        order.append(t)
+        for k in children[t]:
+            parent[k] = t
+        todo += children[t]
+    order.reverse()
+    return order, parent
+
+
+def find(link: list[int], x: int) -> int:
+    """The root of x in a union-find forest of parent links, compressing
+    the path to it."""
+    root = x
+    while link[root] != root:
+        root = link[root]
+    while link[x] != root:
+        link[x], x = root, link[x]
+    return root
+
+
 def connected_components(g: ColouredGraph, forbidden_edges: EdgeSet | None = None) -> Partition:
     """Connected components of g (optionally with some edges removed),
     ordered by smallest contained vertex."""

@@ -165,13 +165,17 @@ def _deletion_ok(g: ColouredGraph, kept: list[Edge]) -> bool:
     return True
 
 
-def brute_min_deletions(g: ColouredGraph, cap_edges: int = 20) -> SolveResult:
+# The most edges `brute_min_deletions` takes: it tries up to 2^m deletion sets.
+BRUTE_DELETIONS_MAX_EDGES = 20
+
+
+def brute_min_deletions(g: ColouredGraph) -> SolveResult:
     """Minimum edge deletions leaving all components colourful, by trying
     deletion sets in order of increasing size."""
     m = g.m
-    if m > cap_edges:
+    if m > BRUTE_DELETIONS_MAX_EDGES:
         raise UnsupportedInstanceError(
-            f"brute_min_deletions supports m <= {cap_edges}, got m = {m}"
+            f"brute_min_deletions supports m <= {BRUTE_DELETIONS_MAX_EDGES}, got m = {m}"
         )
     edges = g.edges()
     checked = 0
@@ -349,16 +353,18 @@ def brute_multicut(
 # ---------------------------------------------------------------------------
 
 
-def find_two_partition(
-    g: ColouredGraph, node_cap: int = 5_000_000
-) -> Partition | None:
+# The most search nodes `find_two_partition` visits before it gives up.
+TWO_PARTITION_NODE_CAP = 5_000_000
+
+
+def find_two_partition(g: ColouredGraph) -> Partition | None:
     """A colourful partition with at most two blocks, or None.
 
     Branch search over side assignments: same-coloured vertices are forced to
     opposite sides, and a branch is abandoned as soon as one side can no
     longer be linked up through the still-unassigned vertices.  Exact, but
-    exponential in the worst case; ``node_cap`` guards against pathological
-    inputs (raising rather than guessing).
+    exponential in the worst case; `TWO_PARTITION_NODE_CAP` guards against
+    pathological inputs (raising rather than guessing).
     """
     if g.n == 0:
         return ()
@@ -432,7 +438,7 @@ def find_two_partition(
         every vertex has a side)."""
         nonlocal nodes
         nodes += 1
-        if nodes > node_cap:
+        if nodes > TWO_PARTITION_NODE_CAP:
             raise UnsupportedInstanceError(
                 "two-block partition search exceeded its node cap"
             )

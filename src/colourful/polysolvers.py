@@ -23,8 +23,10 @@ from .graph import (
     canonical_partition,
     connected_components,
     crossing_edges,
+    find,
     is_colourful_partition,
     is_colourful_set,
+    postorder,
 )
 
 
@@ -430,36 +432,18 @@ def _cut_certificate(
     if reached < n or not pairs:
         return reached == n, None
 
-    # T in postorder, as a preorder reversed, since Tarjan's method needs
-    # every subtree in one run; and each node's parent
+    order, up = postorder(kids, 0)
     block = len(kids)
-    up = [-1] * block
-    order, todo = [], [0]
-    while todo:
-        t = todo.pop()
-        order.append(t)
-        for k in kids[t]:
-            up[k] = t
-        todo += kids[t]
-    order.reverse()
-
     link = list(range(block))
     done = bytearray(block)
     ends = [int(q >= 0) for q in partner] + [0] * (block - n)
     inside = [0] * block
     met = bytearray(n)  # whether a component of G - v below v meets every pair
-
-    def find(x: int) -> int:
-        while link[x] != x:
-            link[x] = link[link[x]]
-            x = link[x]
-        return x
-
     for u in order:
         if u < n:
             q = partner[u]
             if q >= 0 and done[q]:
-                inside[find(q)] += 1
+                inside[find(link, q)] += 1
             # the rest of G above u meets every pair unless a pair lies in
             # u's subtree, as every pair does when u is the root
             if not met[u] and inside[u]:

@@ -258,6 +258,13 @@ AUTO_ROUTES = [
         ("--problem", "partition"),
         "nonunique-colours",
     ),
+    # the same cycle under --problem components: only the oracle takes it,
+    # and its 13 edges are few enough to try every deletion set
+    (
+        ColouredGraph.build(13, list(range(1, 13)) + [1], [(v, (v + 1) % 13) for v in range(13)]),
+        ("--problem", "components"),
+        "brute",
+    ),
 ]
 
 
@@ -484,6 +491,17 @@ def test_td_validate_rejects_mismatched_decomposition(tmp_path, capsys):
     assert code == 1 and "invalid" in err
 
 
+def test_solve_rejects_a_decomposition_that_does_not_fit_the_graph(tmp_path, capsys):
+    # the decomposition parses, but its one bag misses vertex 1
+    inst = tmp_path / "p2.cg"
+    inst.write_text(P2)
+    td_file = tmp_path / "bad.td"
+    td_file.write_text("td 1 0\nbag 0 0\n")
+    code, out, err = run(capsys, "solve", "--td", td_file, inst)
+    assert code == 2 and out == ""
+    assert "supplied decomposition is invalid" in err
+
+
 def test_td_validate_rejects_a_huge_bag_count_as_malformed(tmp_path, capsys):
     inst = tmp_path / "p2.cg"
     inst.write_text("cgraph 2 1\nv 0 1\nv 1 2\ne 0 1\n")
@@ -523,6 +541,49 @@ def test_bench_empty_manifest(tmp_path, capsys):
              "status"]
         )
     ]
+
+
+def bench_rows(out):
+    """The rows of a bench table, each split into its columns, without the
+    header."""
+    return [line.split("\t") for line in out.splitlines()[1:]]
+
+
+def test_bench_jobs_out_and_a_no_instance(example1_file, tmp_path, capsys):
+    # the path 1-2-1-2 loses its middle edge; three vertices of one colour
+    # admit no two-block partition
+    path_file, none_file = tmp_path / "p4.cg", tmp_path / "p3.cg"
+    path_file.write_text(serialize_instance(_path([1, 2, 1, 2])))
+    none_file.write_text(serialize_instance(_path([1, 1, 1])))
+    manifest = tmp_path / "m.tsv"
+    manifest.write_text(
+        f"{example1_file}\toracle\tpartition\n"
+        f"{path_file}\tdp\tcomponents\n"
+        f"{none_file}\ttw2-2sat\tpartition\n"
+    )
+    code, out, _ = run(capsys, "bench", "--manifest", manifest, "--jobs", "1")
+    assert code == 0
+    rows = bench_rows(out)
+    assert [row[3] for row in rows] == ["2", "1", "none"]
+    assert {row[6] for row in rows} == {"ok"}
+    table = tmp_path / "rows.tsv"
+    code, out, _ = run(
+        capsys, "bench", "--manifest", manifest, "--jobs", "2", "--out", table
+    )
+    assert code == 0 and out == ""
+    # the same rows from two worker processes, apart from the wall times
+    pooled = bench_rows(table.read_text())
+    assert [row[:4] + row[5:] for row in pooled] == [row[:4] + row[5:] for row in rows]
+
+
+def test_bench_rejects_a_missing_or_malformed_manifest(example1_file, tmp_path, capsys):
+    code, out, err = run(capsys, "bench", "--manifest", tmp_path / "missing.tsv")
+    assert code == 2 and out == "" and "error" in err
+    for line in (f"{example1_file}\toracle", f"{example1_file} fastest partition"):
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text(f"{example1_file}\toracle\tpartition\n{line}\n")
+        code, out, err = run(capsys, "bench", "--manifest", manifest)
+        assert code == 2 and out == "" and "bad manifest line" in err
 
 
 def test_repeated_main_calls_in_one_process_share_no_state(

@@ -1,10 +1,12 @@
 import random
+import re
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from colourful.decomposition import (
+    NiceTreeDecomposition,
     RootedDecomposition2CP,
     TreeDecomposition,
     _greedy_min_degree_order,
@@ -15,6 +17,7 @@ from colourful.decomposition import (
     to_nice,
 )
 from colourful import decomposition as decomposition_module
+from colourful.fpt import dp_partition
 from colourful import graph as graph_module
 from colourful.graph import (
     ColouredGraph,
@@ -281,6 +284,62 @@ def test_to_nice_handles_empty_graph():
     td = exact_tree_decomposition(g, 0)
     nice = to_nice(td, g)
     nice.validate(g)
+
+
+# A nice decomposition of the path 0-1, rooted at node 7: two leaves each
+# introduce 0, a join, then introduce 1, forget 0 and forget 1.
+NICE_P2 = {
+    "bags": [set(), {0}, set(), {0}, {0}, {0, 1}, {1}, set()],
+    "kind": ["leaf", "introduce", "leaf", "introduce", "join", "introduce", "forget", "forget"],
+    "children": [(), (0,), (), (2,), (1, 3), (4,), (5,), (6,)],
+    "delta": [None, 0, None, 0, None, 1, 0, 1],
+}
+
+
+def nice_p2(root=7, **changes):
+    """NICE_P2 with some rows changed: each keyword maps a field to
+    {node: value}."""
+    rows = {field: list(values) for field, values in NICE_P2.items()}
+    for field, changed in changes.items():
+        for node, value in changed.items():
+            rows[field][node] = value
+    return NiceTreeDecomposition(
+        tuple(map(frozenset, rows["bags"])),
+        tuple(rows["kind"]),
+        tuple(rows["children"]),
+        tuple(rows["delta"]),
+        root,
+    )
+
+
+NICE_BROKEN = {
+    "leaf-with-a-child": (nice_p2(children={2: (0,)}), "leaf node 2 has children (0,)"),
+    "leaf-with-a-bag": (nice_p2(bags={0: {1}}), "leaf node 0 malformed"),
+    "introduce-of-another-vertex": (nice_p2(delta={1: 1}), "introduce node 1 malformed"),
+    "forget-of-another-vertex": (nice_p2(delta={6: 1}), "forget node 6 malformed"),
+    "join-with-another-bag": (nice_p2(bags={4: {0, 1}}), "join node 4 malformed"),
+    "unknown-kind": (nice_p2(kind={2: "twig"}), "node 2 has unknown kind 'twig'"),
+    "root-with-a-bag": (nice_p2(root=6), "root 6 must be a node with an empty bag"),
+    "child-out-of-range": (nice_p2(children={4: (1, 8)}), "join node 4 has children (1, 8)"),
+    "introduce-with-two-children": (
+        nice_p2(children={5: (4, 2)}), "introduce node 5 has children (4, 2)"
+    ),
+    "root-that-is-a-child": (nice_p2(root=0), "every node but the root 0"),
+}
+
+
+@pytest.mark.parametrize("rule", NICE_BROKEN)
+def test_nice_validate_rejects_each_broken_rule(rule):
+    # each fault is a ValueError that names the node, also when the nice
+    # form is handed to the DP
+    g = ColouredGraph.build(2, (1, 2), [(0, 1)])
+    nice_p2().validate(g)
+    assert dp_partition(g, nice=nice_p2()).optimum == 1
+    broken, message = NICE_BROKEN[rule]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        broken.validate(g)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        dp_partition(g, nice=broken)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from colourful.graph import (
     components_after_deletion,
     connected_components,
     crossing_edges,
+    find,
     is_colourful_graph,
     is_colourful_partition,
     is_colourful_set,
@@ -19,6 +20,7 @@ from colourful.graph import (
     normalize_colours,
     parse_instance,
     parse_solution,
+    postorder,
     search,
     serialize_instance,
     serialize_solution,
@@ -169,6 +171,32 @@ def test_search_and_components_match_union_find(g, data):
         assert [depth[v] for v in order] == sorted(depth.values())
         if s in allowed:
             assert set(search(g.adj, s, allowed)) == next(c for c in inside if s in c)
+
+
+@given(st.data())
+def test_postorder_runs_each_subtree_and_find_reaches_the_root(data):
+    # a random tree where node v hangs from a smaller node, its child lists
+    # shuffled
+    n = data.draw(st.integers(1, 12))
+    parent = [-1] + [data.draw(st.integers(0, v - 1)) for v in range(1, n)]
+    children = [[] for _ in range(n)]
+    for v in range(1, n):
+        children[parent[v]].append(v)
+    children = [data.draw(st.permutations(cs)) for cs in children]
+    below = [{v} for v in range(n)]  # each node's subtree
+    for v in reversed(range(1, n)):
+        below[parent[v]] |= below[v]
+    for root in range(n):
+        order, up = postorder(children, root)
+        assert sorted(order) == sorted(below[root]) and order[-1] == root
+        assert up == [parent[v] if v in below[root] and v != root else -1 for v in range(n)]
+        at = {v: i for i, v in enumerate(order)}
+        for v in order:  # a subtree is the run that ends at its root
+            assert set(order[at[v] - len(below[v]) + 1 : at[v] + 1]) == below[v]
+            assert [at[c] for c in children[v]] == sorted(at[c] for c in children[v])
+    link = [max(p, 0) for p in parent]
+    for v in data.draw(st.permutations(range(n))):
+        assert find(link, v) == 0 and link[v] == 0
 
 
 @given(coloured_graphs(max_n=10), st.data())
