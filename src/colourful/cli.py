@@ -3,7 +3,8 @@ built-in instance families, run solver batteries, and compute or validate
 tree decompositions.
 
 Exit codes: 0 success (including a correct "none" answer), 1 invalid
-witness, 2 unreadable or unparseable input, 3 no applicable solver.
+witness or decomposition (`td validate`), 2 unreadable or unparseable input
+or unwritable output (`main` decides both), 3 no applicable solver.
 """
 
 from __future__ import annotations
@@ -187,16 +188,13 @@ def _solve_with(
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    try:
-        g = _load_instance(args.instance)
-        td = parse_td(_read_text(args.td)) if args.td else None
-        if td is not None:
-            try:
-                td.validate(g)
-            except ValueError as exc:
-                raise ParseError(f"supplied decomposition is invalid: {exc}") from exc
-    except ParseError as exc:
-        return _fail(EXIT_PARSE, f"error: {exc}")
+    g = _load_instance(args.instance)
+    td = parse_td(_read_text(args.td)) if args.td else None
+    if td is not None:
+        try:
+            td.validate(g)
+        except ValueError as exc:
+            raise ParseError(f"supplied decomposition is invalid: {exc}") from exc
     try:
         if td is None:
             result = _solve_with(
@@ -214,10 +212,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if result is None or (args.k is not None and result.optimum > args.k):
         print("none")
         return EXIT_OK
-    print(f"{kind} {result.optimum}")
-    print(f"solver {result.solver}")
     if args.output:
         Path(args.output).write_text(serialize_solution(kind, result.witness))
+    print(f"{kind} {result.optimum}")
+    print(f"solver {result.solver}")
     return EXIT_OK
 
 
@@ -227,11 +225,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    try:
-        g = _load_instance(args.instance)
-        kind, witness = parse_solution(_read_text(args.solution))
-    except ParseError as exc:
-        return _fail(EXIT_PARSE, f"error: {exc}")
+    g = _load_instance(args.instance)
+    kind, witness = parse_solution(_read_text(args.solution))
     if kind == "partition":
         if not is_colourful_partition(g, witness):
             return _fail(
@@ -308,65 +303,62 @@ def cmd_gen(args: argparse.Namespace) -> int:
     seed = int(os.environ.get("CG_SEED", "0"))
     rng = random.Random(seed)
     td: TreeDecomposition | None = None
-    try:
-        if args.family == "example1":
-            g = gen_example1(args.k)
-            default = f"example1_k{args.k}.cg"
-            meta = {"family": "example1", "k": args.k, "target_k": 2}
-        elif args.family == "random":
-            g = _gen_random(rng, args.n, args.m, args.colours)
-            default = f"random_n{args.n}_m{args.m}_s{seed}.cg"
-            meta = {
-                "family": "random",
-                "n": args.n,
-                "m": args.m,
-                "colours": args.colours,
-                "seed": seed,
-                "target_k": None,
-            }
-        elif args.family == "vc":
-            src = _load_instance(args.graph)
-            rows = _parse_int_rows(_read_text(args.edge_colours), 3)
-            ec = {norm_edge(u, v): c for u, v, c in rows}
-            g = reduce_vc(src.n, src.edges(), ec)
-            default = f"vc_{Path(args.graph).stem}.cg"
-            meta = {
-                "family": "vc",
-                "source": args.graph,
-                "target_k": None,
-                "note": "minimum partition is 3n plus the source's vertex cover number",
-            }
-        elif args.family == "multicut":
-            src = _load_instance(args.tree)
-            pairs = _parse_int_rows(_read_text(args.pairs), 2)
-            g = reduce_multicut_tree(src.n, src.edges(), pairs, hardened=args.hardened)
-            suffix = "_hardened" if args.hardened else ""
-            default = f"multicut_{Path(args.tree).stem}{suffix}.cg"
-            target = None
-            if args.r is not None:
-                target = 2 * (args.r + 1) if args.hardened else args.r + 1
-            meta = {
-                "family": "multicut",
-                "source": args.tree,
-                "pairs": args.pairs,
-                "r": args.r,
-                "hardened": args.hardened,
-                "target_k": target,
-            }
-        elif args.family == "split-3sat":
-            clauses = _parse_cnf(_read_text(args.formula))
-            g = reduce_3sat_split(clauses)
-            default = f"split3sat_{Path(args.formula).stem}.cg"
-            meta = {"family": "split-3sat", "source": args.formula, "target_k": 2}
-        elif args.family == "nae-pathwidth":
-            clauses = _parse_cnf(_read_text(args.formula))
-            g, td = reduce_nae3sat_pathwidth(clauses)
-            default = f"naepw_{Path(args.formula).stem}.cg"
-            meta = {"family": "nae-pathwidth", "source": args.formula, "target_k": 2}
-        else:  # pragma: no cover - argparse restricts choices
-            raise ValueError(args.family)
-    except ValueError as exc:  # ParseError included
-        return _fail(EXIT_PARSE, f"error: {exc}")
+    if args.family == "example1":
+        g = gen_example1(args.k)
+        default = f"example1_k{args.k}.cg"
+        meta = {"family": "example1", "k": args.k, "target_k": 2}
+    elif args.family == "random":
+        g = _gen_random(rng, args.n, args.m, args.colours)
+        default = f"random_n{args.n}_m{args.m}_s{seed}.cg"
+        meta = {
+            "family": "random",
+            "n": args.n,
+            "m": args.m,
+            "colours": args.colours,
+            "seed": seed,
+            "target_k": None,
+        }
+    elif args.family == "vc":
+        src = _load_instance(args.graph)
+        rows = _parse_int_rows(_read_text(args.edge_colours), 3)
+        ec = {norm_edge(u, v): c for u, v, c in rows}
+        g = reduce_vc(src.n, src.edges(), ec)
+        default = f"vc_{Path(args.graph).stem}.cg"
+        meta = {
+            "family": "vc",
+            "source": args.graph,
+            "target_k": None,
+            "note": "minimum partition is 3n plus the source's vertex cover number",
+        }
+    elif args.family == "multicut":
+        src = _load_instance(args.tree)
+        pairs = _parse_int_rows(_read_text(args.pairs), 2)
+        g = reduce_multicut_tree(src.n, src.edges(), pairs, hardened=args.hardened)
+        suffix = "_hardened" if args.hardened else ""
+        default = f"multicut_{Path(args.tree).stem}{suffix}.cg"
+        target = None
+        if args.r is not None:
+            target = 2 * (args.r + 1) if args.hardened else args.r + 1
+        meta = {
+            "family": "multicut",
+            "source": args.tree,
+            "pairs": args.pairs,
+            "r": args.r,
+            "hardened": args.hardened,
+            "target_k": target,
+        }
+    elif args.family == "split-3sat":
+        clauses = _parse_cnf(_read_text(args.formula))
+        g = reduce_3sat_split(clauses)
+        default = f"split3sat_{Path(args.formula).stem}.cg"
+        meta = {"family": "split-3sat", "source": args.formula, "target_k": 2}
+    elif args.family == "nae-pathwidth":
+        clauses = _parse_cnf(_read_text(args.formula))
+        g, td = reduce_nae3sat_pathwidth(clauses)
+        default = f"naepw_{Path(args.formula).stem}.cg"
+        meta = {"family": "nae-pathwidth", "source": args.formula, "target_k": 2}
+    else:  # pragma: no cover - argparse restricts choices
+        raise ValueError(args.family)
     out = Path(args.output or default)
     out.write_text(serialize_instance(g))
     with open(f"{out}.jsonl", "w") as fh:
@@ -407,10 +399,7 @@ def _bench_task(task: tuple[str, str, str]) -> list[str]:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    try:
-        text = _read_text(args.manifest)
-    except ParseError as exc:
-        return _fail(EXIT_PARSE, f"error: {exc}")
+    text = _read_text(args.manifest)
     tasks: list[tuple[str, str, str]] = []
     for line in text.splitlines():
         body = line.split("#", 1)[0].strip()
@@ -420,7 +409,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         if len(parts) != 3 or parts[1] not in ALGOS or parts[2] not in (
             "partition", "components",
         ):
-            return _fail(EXIT_PARSE, f"error: bad manifest line: {line!r}")
+            raise ParseError(f"bad manifest line: {line!r}")
         tasks.append((parts[0], parts[1], parts[2]))
     if args.jobs > 1 and tasks:
         from concurrent import futures  # only `--jobs` needs it; it is slow to import
@@ -446,15 +435,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_td(args: argparse.Namespace) -> int:
-    try:
-        g = _load_instance(args.instance)
-    except ParseError as exc:
-        return _fail(EXIT_PARSE, f"error: {exc}")
+    if args.action == "validate" and not args.td_file:
+        raise ParseError("td validate needs a decomposition file")
+    g = _load_instance(args.instance)
     if args.action == "validate":
-        try:
-            td = parse_td(_read_text(args.td_file))
-        except ParseError as exc:
-            return _fail(EXIT_PARSE, f"error: {exc}")
+        td = parse_td(_read_text(args.td_file))
         try:
             td.validate(g)
         except ValueError as exc:
@@ -565,9 +550,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "td" and args.action == "validate" and not args.td_file:
-        return _fail(EXIT_PARSE, "error: td validate needs a decomposition file")
-    return args.func(args)
+    # reads fail with a ParseError, which is a ValueError; writes with an OSError
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        return _fail(EXIT_PARSE, f"error: {exc}")
 
 
 if __name__ == "__main__":  # pragma: no cover

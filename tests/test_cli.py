@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import subprocess
@@ -12,7 +13,12 @@ from hypothesis import given, settings, strategies as st
 import colourful
 from colourful import cli
 from colourful.cli import main
-from colourful.gadgets import gen_example1, reduce_nae3sat_pathwidth
+from colourful.gadgets import (
+    gen_example1,
+    k4_with_edge_colouring,
+    reduce_nae3sat_pathwidth,
+    reduce_vc,
+)
 from colourful.decomposition import TreeDecomposition, serialize_td
 from colourful.graph import (
     ColouredGraph,
@@ -78,10 +84,15 @@ def test_solve_writes_checkable_deletion_witness(example1_file, tmp_path, capsys
 
 
 def test_solve_decision_no_prints_none(tmp_path, capsys):
-    path = tmp_path / "p3.cg"
-    path.write_text("cgraph 3 2\nv 0 1\nv 1 1\nv 2 1\ne 0 1\ne 1 2\n")
-    code, out, _ = run(capsys, "solve", "--k", "2", path)
-    assert code == 0 and out.strip() == "none"
+    path = tmp_path / "p.cg"
+    for colours, args in [
+        ([1, 1, 1], ()),
+        # past the oracle's cap of 12 vertices, --k 2 takes the two-block search
+        ([1, 2, 3, 4, 5, 1, 6, 7, 8, 9, 10, 11, 1], ("--algo", "oracle")),
+    ]:
+        path.write_text(serialize_instance(_path(colours)))
+        code, out, _ = run(capsys, "solve", "--k", "2", *args, path)
+        assert code == 0 and out.strip() == "none"
 
 
 def test_solve_exit_codes(tmp_path, capsys):
@@ -406,6 +417,8 @@ def test_gen_random_respects_seed(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CG_SEED", "8")
     run(capsys, "gen", "random", "--n", "8", "--m", "9", "-o", "c.cg")
     assert (tmp_path / "a.cg").read_text() != (tmp_path / "c.cg").read_text()
+    code, out, err = run(capsys, "gen", "random", "--n", "3", "--m", "4")
+    assert (code, out, err) == (2, "", "error: at most 3 edges possible for n=3\n")
 
 
 def test_gen_random_samples_pairs_without_listing_them():
@@ -435,6 +448,39 @@ def test_gen_split_family_solves_to_two(tmp_path, capsys):
     code, out, _ = run(capsys, "solve", "--k", "2", out_file)
     assert code == 0
     assert out.splitlines()[0] == "partition 2"
+
+
+def test_cnf_last_clause_needs_no_closing_zero(tmp_path, capsys):
+    written = []
+    for name, text in (("closed", "1 2 3 0\n1 2 4 0\n"), ("open", "1 2 3 0\n1 2 4\n")):
+        cnf, out_file = tmp_path / f"{name}.cnf", tmp_path / f"{name}.cg"
+        cnf.write_text(text)
+        code, _, _ = run(capsys, "gen", "split-3sat", "--formula", cnf, "-o", out_file)
+        assert code == 0
+        written.append(out_file.read_text())
+    assert written[0] == written[1]
+
+
+def test_gen_vc_family_adds_three_per_vertex_to_the_cover(tmp_path, capsys):
+    n, edges, edge_colours = k4_with_edge_colouring()
+    graph, ec, out_file = tmp_path / "k4.cg", tmp_path / "k4.ec", tmp_path / "vc.cg"
+    graph.write_text(serialize_instance(ColouredGraph.build(n, (1,) * n, edges)))
+    ec.write_text("".join(f"{u} {v} {c}\n" for (u, v), c in edge_colours.items()))
+    code, _, _ = run(
+        capsys, "gen", "vc", "--graph", graph, "--edge-colours", ec, "-o", out_file
+    )
+    assert code == 0
+    text = out_file.read_text()
+    assert text.startswith("cgraph 42 48\n")
+    assert text == serialize_instance(reduce_vc(n, edges, edge_colours))
+    meta = json.loads((tmp_path / "vc.cg.jsonl").read_text())
+    assert meta["note"] == "minimum partition is 3n plus the source's vertex cover number"
+    # 3 * 4 plus K4's vertex cover number of 3
+    code, out, _ = run(capsys, "solve", out_file)
+    assert code == 0 and out.splitlines()[0] == "partition 15"
+    code, out, err = run(capsys, "td", "compute", out_file, "--max-width", "1")
+    assert code == 3 and out == ""
+    assert err == "no decomposition found within the width bound\n"
 
 
 def test_gen_nae_family_emits_valid_decomposition(tmp_path, capsys):
@@ -469,6 +515,9 @@ def test_td_compute_and_validate(example1_file, tmp_path, capsys):
     assert code == 0 and out.strip() == "width 2"
     code, out, _ = run(capsys, "td", "validate", example1_file, td_file)
     assert code == 0 and out.strip() == "ok width 2"
+    # without -o the decomposition itself goes to stdout
+    code, out, _ = run(capsys, "td", "compute", example1_file)
+    assert code == 0 and out == td_file.read_text()
 
 
 def test_td_compute_finds_the_width_greedy_misses_by_one(tmp_path, capsys):
@@ -584,6 +633,23 @@ def test_bench_rejects_a_missing_or_malformed_manifest(example1_file, tmp_path, 
         manifest.write_text(f"{example1_file}\toracle\tpartition\n{line}\n")
         code, out, err = run(capsys, "bench", "--manifest", manifest)
         assert code == 2 and out == "" and "bad manifest line" in err
+
+
+@pytest.mark.parametrize("command", ["solve", "gen", "td", "bench"])
+def test_an_unwritable_output_path_exits_2(command, example1_file, tmp_path, capsys):
+    out = tmp_path / "missing" / "out"
+    manifest = tmp_path / "m.tsv"
+    manifest.write_text(f"{example1_file}\tauto\tpartition\n")
+    argv = {
+        "solve": ("solve", example1_file, "-o", out),
+        "gen": ("gen", "example1", "--k", "3", "-o", out),
+        "td": ("td", "compute", example1_file, "-o", out),
+        "bench": ("bench", "--manifest", manifest, "--out", out),
+    }[command]
+    code, stdout, err = run(capsys, *argv)
+    assert code == 2 and stdout == ""
+    # one line that names the path, no traceback
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(out) in err
 
 
 def test_repeated_main_calls_in_one_process_share_no_state(

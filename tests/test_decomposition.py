@@ -190,6 +190,13 @@ def test_validate_rejects_broken_decompositions():
     )
     with pytest.raises(ValueError, match="out of range"):
         bad.validate(g)
+    # no bags at all
+    with pytest.raises(ValueError, match="at least one bag"):
+        TreeDecomposition((), ()).validate(g)
+    # a tree edge to a bag that does not exist
+    bad = TreeDecomposition((frozenset({0, 1, 2}),), ((0, 1),))
+    with pytest.raises(ValueError, match="bad tree edge"):
+        bad.validate(g)
 
 
 def spanning_rule_holds(g, td):
@@ -392,6 +399,7 @@ def test_rooted_form_validate_rejects_each_broken_rule():
     good = [({0, 1}, -1), ({0, 1, 2}, 0), ({2}, 1), ({2, 3}, 2)]
     rooted(*good).validate(g, 0, 1)
     broken = {
+        "with no parent": (rooted(({0, 1}, 1), *good[1:]), (0, 1)),
         "root bag": (rooted(*good), (0, 2)),
         "pairwise distinct": (rooted(*good, ({2}, 3)), (0, 1)),
         "strictly nest": (rooted(*good[:2], ({2, 3}, 1)), (0, 1)),

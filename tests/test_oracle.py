@@ -194,6 +194,9 @@ def test_tree_multicut_agrees_with_subset_enumeration():
                 comps = connected_components(g, got)
                 comp_of = {v: i for i, c in enumerate(comps) for v in c}
                 assert all(comp_of[u] != comp_of[v] for u, v in pairs)
+    triangle = ColouredGraph.build(3, (1, 1, 1), [(0, 1), (0, 2), (1, 2)])
+    with pytest.raises(ValueError, match="expects a tree"):
+        tree_multicut(triangle, [(0, 1)], 2)
 
 
 def test_tree_min_deletions_matches_brute():

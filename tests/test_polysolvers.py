@@ -160,6 +160,9 @@ def test_tw2_solver_answers_trivial_instances_without_width_check():
         4, (1, 2, 3, 4), [(u, v) for u in range(4) for v in range(u + 1, 4)]
     )
     assert solve_2cp_treewidth2(k4) == (frozenset({0, 1, 2, 3}),)
+    # the empty graph is covered by no block at all
+    empty = ColouredGraph.build(0, (), [])
+    assert solve_2cp_treewidth2(empty) == find_two_partition(empty) == ()
 
 
 def test_tw2_solver_agrees_with_oracle():
